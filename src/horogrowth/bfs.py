@@ -3,11 +3,8 @@
 This is the brute-force certificate for the closed-form series: sphere
 sizes, geodesic distances, coset distances, and relative coset growth
 are measured directly on group elements, never through a formula.
-
-A state packs an element a^v t^tee as (tee, exp, nums) where
-v = nums / 3**exp with a shared exponent, exp >= 0, and exp > 0 only
-when some entry of nums is not divisible by 3.  Generator steps then
-touch a single integer instead of m triadic rationals.
+Elements are enumerated in the packed form of ``group`` and stepped
+with ``group.step``.
 
 Enumeration is capped per rank and by an overall memory budget taken
 from the environment variable HOROGROWTH_BUDGET_MB (default 512); work
@@ -18,15 +15,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import BudgetError
 from .geodesic import word_length
-from .group import GroupElement, TriadicRational, Word, coset_key, eval_word
+from .group import GroupElement, Word, coset_key, eval_word, is_horocyclic, step
 from .growth import CosetCensus, full_series
 from .series import series_prefix
-
-State = tuple[int, int, tuple[int, ...]]
 
 RADIUS_CAP = {1: 12, 2: 9, 3: 7}
 
@@ -35,51 +31,11 @@ _STATE_BYTES = 120
 _STATE_BYTES_PER_COORD = 60
 
 
-# ---------------------------------------------------------------------------
-# state representation
-
-
-def _initial(m: int) -> State:
-    return (0, 0, (0,) * m)
-
-
 def _moves(m: int) -> tuple[tuple[int, int], ...]:
-    """Right-multiplication moves in order a1, A1, ..., am, Am, t, T.
-
-    A move is (index, sign) with index -1 standing for the vertical
-    generator."""
+    """Right-multiplication moves in order a1, A1, ..., am, Am, t, T, as
+    the (index, sign) arguments of group.step."""
     lattice = tuple((i, s) for i in range(m) for s in (1, -1))
     return lattice + ((-1, 1), (-1, -1))
-
-
-def _apply(state: State, move: tuple[int, int]) -> State:
-    tee, exp, nums = state
-    idx, sign = move
-    if idx < 0:
-        return (tee + sign, exp, nums)
-    k = exp + tee
-    if k >= 0:
-        new = list(nums)
-        new[idx] += sign * 3**k
-        while exp > 0 and all(n % 3 == 0 for n in new):
-            new = [n // 3 for n in new]
-            exp -= 1
-        return (tee, exp, tuple(new))
-    scale = 3**-k
-    new = [n * scale for n in nums]
-    new[idx] += sign
-    return (tee, exp - k, tuple(new))
-
-
-def _from_element(g: GroupElement) -> State:
-    exp = max((c.exp for c in g.coords), default=0)
-    nums = tuple(c.num * 3 ** (exp - c.exp) for c in g.coords)
-    return (g.tee, exp, nums)
-
-
-def _to_element(m: int, state: State) -> GroupElement:
-    tee, exp, nums = state
-    return GroupElement(tuple(TriadicRational.make(n, exp) for n in nums), tee)
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +83,38 @@ def _check_budget(m: int, radius: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# spheres
+# balls
+
+
+def _distances_from(start: GroupElement, radius: int) -> dict[GroupElement, int]:
+    """Graph distance from start of every element within radius, in
+    breadth-first order."""
+    moves = _moves(start.m)
+    dist = {start: 0}
+    frontier = [start]
+    for r in range(1, radius + 1):
+        fresh = []
+        for g in frontier:
+            for index, sign in moves:
+                nb = step(g, index, sign)
+                if nb not in dist:
+                    dist[nb] = r
+                    fresh.append(nb)
+        frontier = fresh
+    return dist
 
 
 @lru_cache(maxsize=None)
-def _ball(m: int, radius: int) -> tuple[frozenset, ...]:
-    """Spheres 0..radius as frozensets of states."""
-    start = _initial(m)
-    moves = _moves(m)
-    spheres = [frozenset([start])]
-    visited = {start}
-    frontier = [start]
-    for _ in range(radius):
-        fresh = set()
-        for state in frontier:
-            for move in moves:
-                nb = _apply(state, move)
-                if nb not in visited:
-                    fresh.add(nb)
-        visited |= fresh
-        frontier = list(fresh)
-        spheres.append(frozenset(fresh))
-    return tuple(spheres)
+def _ball(m: int, radius: int) -> Mapping[GroupElement, int]:
+    return MappingProxyType(_distances_from(GroupElement.identity(m), radius))
+
+
+def ball(m: int, radius: int) -> Mapping[GroupElement, int]:
+    """Graph distance from the identity of every element within radius,
+    in breadth-first order (so distances never decrease).  The budget is
+    checked on every call; the ball itself is cached."""
+    _check_budget(m, radius)
+    return _ball(m, radius)
 
 
 @dataclass(frozen=True)
@@ -165,44 +131,21 @@ class SphereCounts:
 
 def bfs_spheres(m: int, radius: int) -> SphereCounts:
     """Count elements at each graph distance 0..radius."""
-    _check_budget(m, radius)
-    spheres = _ball(m, radius)
-    total = tuple(len(s) for s in spheres)
-    horo = tuple(
-        sum(1 for tee, exp, _ in s if tee == 0 and exp == 0) for s in spheres
-    )
+    elements = ball(m, radius)
+    total = [0] * (radius + 1)
+    horo = [0] * (radius + 1)
     levels: dict[int, list[int]] = {}
-    for r, sphere in enumerate(spheres):
-        for tee, _, _ in sphere:
-            col = levels.setdefault(min(tee, 0), [0] * (radius + 1))
-            col[r] += 1
+    for g, r in elements.items():
+        total[r] += 1
+        if is_horocyclic(g):
+            horo[r] += 1
+        levels.setdefault(min(g.tee, 0), [0] * (radius + 1))[r] += 1
     by_level = {level: tuple(col) for level, col in levels.items()}
-    return SphereCounts(m, radius, total, horo, by_level)
-
-
-def bfs_subgroup_spheres(m: int, radius: int) -> list[int]:
-    """Count lattice elements at each graph distance 0..radius."""
-    return list(bfs_spheres(m, radius).horocyclic)
+    return SphereCounts(m, radius, tuple(total), tuple(horo), by_level)
 
 
 # ---------------------------------------------------------------------------
 # distances
-
-
-def _distances_from(m: int, start: State, radius: int) -> dict[State, int]:
-    moves = _moves(m)
-    dist = {start: 0}
-    frontier = [start]
-    for r in range(1, radius + 1):
-        fresh = []
-        for state in frontier:
-            for move in moves:
-                nb = _apply(state, move)
-                if nb not in dist:
-                    dist[nb] = r
-                    fresh.append(nb)
-        frontier = fresh
-    return dist
 
 
 def element_distance(m: int, vec: Sequence[int]) -> int:
@@ -226,8 +169,8 @@ def element_distance(m: int, vec: Sequence[int]) -> int:
     near = upper // 2
     far = upper - near
     _check_memory(m, _ball_states(m, near) + _ball_states(m, far))
-    df = _distances_from(m, _initial(m), near)
-    db = _distances_from(m, (0, 0, tuple(vec)), far)
+    df = _distances_from(GroupElement.identity(m), near)
+    db = _distances_from(GroupElement(0, 0, tuple(vec)), far)
     if len(db) < len(df):
         df, db = db, df
     return min(df[s] + db[s] for s in df if s in db)
@@ -240,16 +183,14 @@ def element_distance(m: int, vec: Sequence[int]) -> int:
 def coset_distance_census(m: int, radius: int) -> CosetCensus:
     """chi(level, r) measured on the graph: each coset is charged to the
     distance of its closest element."""
-    _check_budget(m, radius)
-    spheres = _ball(m, radius)
+    elements = ball(m, radius)
     columns = {level: [0] * (radius + 1) for level in range(0, -(radius + 1), -1)}
     seen = set()
-    for r, sphere in enumerate(spheres):
-        for state in sphere:
-            key = coset_key(_to_element(m, state))
-            if key not in seen:
-                seen.add(key)
-                columns[min(state[0], 0)][r] += 1
+    for g, r in elements.items():
+        key = coset_key(g)
+        if key not in seen:
+            seen.add(key)
+            columns[min(g.tee, 0)][r] += 1
     return CosetCensus(m, radius, {lv: tuple(col) for lv, col in columns.items()})
 
 
@@ -262,29 +203,15 @@ def relative_growth(m: int, stem: Word, radius: int) -> list[int]:
     if stem.m != m:
         raise ValueError("stem rank does not match m")
     span = stem.length + radius
-    _check_budget(m, span)
-    spheres = _ball(m, span)
+    elements = ball(m, span)
     key = coset_key(eval_word(stem))
-    per_radius = [
-        sum(1 for state in sphere if coset_key(_to_element(m, state)) == key)
-        for sphere in spheres
-    ]
+    per_radius = [0] * (span + 1)
+    for g, r in elements.items():
+        if coset_key(g) == key:
+            per_radius[r] += 1
     first = next(r for r, count in enumerate(per_radius) if count)
     if first != stem.length:
         raise ValueError(
             f"stem of length {stem.length} reaches a coset at distance {first}"
         )
     return per_radius[stem.length :]
-
-
-def bfs_report(m: int, radius: int) -> dict:
-    """JSON-ready summary of one enumeration."""
-    counts = bfs_spheres(m, radius)
-    census = coset_distance_census(m, radius)
-    return {
-        "m": m,
-        "radius": radius,
-        "total": list(counts.total),
-        "horocyclic": list(counts.horocyclic),
-        "chi": census.to_json()["chi"],
-    }

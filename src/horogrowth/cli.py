@@ -25,7 +25,6 @@ from .group import (
     format_word,
     is_horocyclic,
     parse_word,
-    tau,
 )
 from .growth import (
     cap_poly,
@@ -151,7 +150,7 @@ def _cmd_eval(args) -> int:
                 "word": args.word,
                 "element": element_to_json(g),
                 "display": element_str(g),
-                "tau": tau(g),
+                "tau": g.tee,
                 "horocyclic": is_horocyclic(g),
             }
         )
@@ -223,12 +222,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_output(p):
+    def add_output(p, choices=("plain", "json")):
         p.add_argument(
             "--output",
-            choices=("plain", "json", "latex"),
+            choices=choices,
             default="plain",
-            help="plain text, canonical one-line JSON, or LaTeX (series only)",
+            help="output format; json is canonical and one-line",
         )
 
     p = sub.add_parser("series", help="print a growth series")
@@ -241,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the canonical rational form instead of the prefix",
     )
     p.add_argument("--n", type=int, default=0, help="level depth for kind B")
-    add_output(p)
+    add_output(p, ("plain", "json", "latex"))
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("spell", help="geodesic word for a lattice vector")

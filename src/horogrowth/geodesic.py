@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .group import Word, eval_word, max_height
+from .group import Word, eval_word, is_horocyclic, max_height
 
 
 def balanced_digits(e: int) -> tuple[int, ...]:
@@ -270,8 +270,8 @@ def check_level_ranges(m: int, n: int) -> dict:
     in_box = True
     for w in words:
         g = eval_word(w)
-        v = tuple(c.num for c in g.coords)
-        if g.tee != 0 or not all(c.is_integer for c in g.coords):
+        v = g.nums
+        if not is_horocyclic(g):
             in_box = False
         values.append(v)
         if not (all(1 <= c <= upper for c in v) and max(v) >= lower):

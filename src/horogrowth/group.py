@@ -1,9 +1,14 @@
 """Element and word model of the groups G_m = Z^m *_(g -> g^3).
 
-An element is written uniquely as a^v t^s with v in Z[1/3]^m and s in Z,
-stored as a tuple of triadic rationals plus the integer height s.  The
-product rule is (u, s)(v, r) = (u + 3^s v, s + r) and the inverse of
+An element is written uniquely as a^v t^s with v in Z[1/3]^m and s in Z.
+The product rule is (u, s)(v, r) = (u + 3^s v, s + r) and the inverse of
 (v, s) is (-3^(-s) v, -s).
+
+An element is stored packed as (tee, exp, nums): its height s = tee and
+v = nums / 3**exp with one exponent shared by all coordinates, exp >= 0,
+and exp > 0 only when some entry of nums is not divisible by 3.  A
+generator step then touches a single integer instead of m fractions, and
+a plain (tee, exp, nums) tuple is equal to, and hashes like, the element.
 
 Words use tokens 't', 'T' (its inverse) and 'a<i>', 'A<i>' for the i-th
 lattice generator and its inverse.  For m <= 3 the letters a, b, c and
@@ -14,13 +19,13 @@ never emits '^'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
 class TriadicRational:
-    """num / 3**exp with exp >= 0 and 3 not dividing num unless exp == 0."""
+    """num / 3**exp with exp >= 0 and 3 not dividing num unless exp == 0;
+    one coordinate of an element, for display and JSON."""
 
     num: int
     exp: int
@@ -41,98 +46,111 @@ class TriadicRational:
     def is_integer(self) -> bool:
         return self.exp == 0
 
-    def scale3(self, k: int) -> "TriadicRational":
-        """Multiply by 3**k."""
-        return TriadicRational.make(self.num, self.exp - k)
 
-    def __add__(self, other: "TriadicRational") -> "TriadicRational":
-        e = max(self.exp, other.exp)
-        return TriadicRational.make(
-            self.num * 3 ** (e - self.exp) + other.num * 3 ** (e - other.exp), e
-        )
+class GroupElement(NamedTuple):
+    """a^(nums / 3**exp) t^tee in canonical packed form."""
 
-    def __neg__(self) -> "TriadicRational":
-        return TriadicRational(-self.num, self.exp)
-
-    def __sub__(self, other: "TriadicRational") -> "TriadicRational":
-        return self + (-other)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 3**self.exp)
-
-    def frac_part(self) -> "TriadicRational":
-        """Value mod 1, in [0, 1)."""
-        return TriadicRational.make(self.num % 3**self.exp, self.exp)
-
-
-_TR_ZERO = TriadicRational(0, 0)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """a^coords t^tee."""
-
-    coords: tuple[TriadicRational, ...]
     tee: int
+    exp: int
+    nums: tuple[int, ...]
 
     @property
     def m(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
+
+    @property
+    def coords(self) -> tuple[TriadicRational, ...]:
+        return tuple(TriadicRational.make(n, self.exp) for n in self.nums)
 
     @classmethod
     def identity(cls, m: int) -> "GroupElement":
-        return cls((_TR_ZERO,) * m, 0)
+        return cls(0, 0, (0,) * m)
+
+
+# builds an element from a (tee, exp, nums) tuple without the Python-level
+# NamedTuple constructor, which would dominate the cost of a step
+_pack = tuple.__new__
+
+
+def _canonical(tee: int, exp: int, nums) -> GroupElement:
+    """The element a^(nums / 3**exp) t^tee, for exp >= 0."""
+    while exp > 0 and all(n % 3 == 0 for n in nums):
+        nums = [n // 3 for n in nums]
+        exp -= 1
+    return _pack(GroupElement, (tee, exp, tuple(nums)))
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     if g.m != h.m:
         raise ValueError("rank mismatch")
-    s = g.tee
-    coords = tuple(u + v.scale3(s) for u, v in zip(g.coords, h.coords))
-    return GroupElement(coords, s + h.tee)
+    s, e, u = g
+    r, f, v = h
+    # u / 3^e + 3^s v / 3^f over the common denominator 3^d
+    d = max(e, f - s)
+    return _canonical(
+        s + r, d, [x * 3 ** (d - e) + y * 3 ** (d - f + s) for x, y in zip(u, v)]
+    )
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    s = g.tee
-    return GroupElement(tuple((-u).scale3(-s) for u in g.coords), -s)
+    s, e, u = g
+    # -3^(-s) u / 3^e over the denominator 3^d
+    d = max(e + s, 0)
+    return _canonical(-s, d, [-x * 3 ** (d - e - s) for x in u])
 
 
-def tau(g: GroupElement) -> int:
-    """Height of the element: the exponent of t in the normal form."""
-    return g.tee
+def step(g: GroupElement, index: int, sign: int) -> GroupElement:
+    """g times one generator: a_(index+1)^sign for index >= 0, t^sign for
+    index < 0.  The fast path of multiply for breadth-first enumeration."""
+    tee, exp, nums = g
+    if index < 0:
+        return _pack(GroupElement, (tee + sign, exp, nums))
+    # a_i^sign at height tee adds sign * 3^tee = sign * 3^k / 3^exp
+    k = exp + tee
+    if k < 0:
+        # over the finer denominator 3^-tee the new entry is sign mod 3,
+        # so the result is canonical
+        scale = 3**-k
+        new = [n * scale for n in nums]
+        new[index] += sign
+        return _pack(GroupElement, (tee, -tee, tuple(new)))
+    new = list(nums)
+    new[index] += sign * 3**k
+    if k == 0 and exp:
+        # only adding +-1 can make every entry divisible by 3
+        return _canonical(tee, exp, new)
+    return _pack(GroupElement, (tee, exp, tuple(new)))
 
 
 def is_horocyclic(g: GroupElement) -> bool:
     """True when g lies in the lattice Z^m (height 0, integer coordinates)."""
-    return g.tee == 0 and all(c.is_integer for c in g.coords)
-
-
-def in_positive_orthant(g: GroupElement) -> bool:
-    """True when g is horocyclic with every coordinate at least 1."""
-    return is_horocyclic(g) and all(c.num >= 1 for c in g.coords)
+    return g.tee == 0 and g.exp == 0
 
 
 def coset_key(g: GroupElement):
     """Hashable invariant of the right coset g Z^m.
 
-    g and h lie in the same coset iff they share the height s and the
-    fractional parts of 3^(-s) v agree coordinatewise.
+    g and h lie in the same coset iff they share the height s and
+    3^(-s) v agrees modulo Z^m.  Here 3^(-s) v = nums / 3^(exp+s), so the
+    key is that denominator's exponent k (clamped at 0; it is the same
+    for the whole coset) and nums reduced mod 3^k.
     """
-    s = g.tee
-    return (tuple(c.scale3(-s).frac_part() for c in g.coords), s)
+    k = max(g.exp + g.tee, 0)
+    q = 3**k
+    return (g.tee, k, tuple(n % q for n in g.nums))
 
 
 def t_element(m: int, sign: int) -> GroupElement:
-    return GroupElement((_TR_ZERO,) * m, 1 if sign > 0 else -1)
+    return GroupElement(1 if sign > 0 else -1, 0, (0,) * m)
 
 
 def gen_element(m: int, index: int, sign: int) -> GroupElement:
     """The lattice generator a_index (1-based) or its inverse."""
     if not 1 <= index <= m:
         raise ValueError(f"generator index {index} out of range for m={m}")
-    coords = list((_TR_ZERO,) * m)
-    coords[index - 1] = TriadicRational(1 if sign > 0 else -1, 0)
-    return GroupElement(tuple(coords), 0)
+    nums = [0] * m
+    nums[index - 1] = 1 if sign > 0 else -1
+    return GroupElement(0, 0, tuple(nums))
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +256,25 @@ def format_word(word: Word) -> str:
     return "".join(out)
 
 
-@lru_cache(maxsize=None)
-def _token_element(m: int, tok: str) -> GroupElement:
-    if tok == "t":
-        return t_element(m, 1)
-    if tok == "T":
-        return t_element(m, -1)
-    return gen_element(m, int(tok[1:]), 1 if tok[0] == "a" else -1)
-
-
 def eval_word(word: Word) -> GroupElement:
-    """Fold the product rule over the word's tokens."""
-    g = GroupElement.identity(word.m)
+    """Fold the product rule over the word's tokens: a lattice letter read
+    at height h adds +-3^h to its coordinate.  Heights are shifted by the
+    lowest one, h_min, so the sum stays integral; exp is then -h_min."""
+    h = 0
+    letters = []
     for tok in word.tokens:
-        g = multiply(g, _token_element(word.m, tok))
-    return g
+        if tok == "t":
+            h += 1
+        elif tok == "T":
+            h -= 1
+        else:
+            letters.append((tok, h))
+    low = min([0] + [lh for _, lh in letters])
+    nums = [0] * word.m
+    for tok, lh in letters:
+        term = 3 ** (lh - low)
+        nums[int(tok[1:]) - 1] += term if tok[0] == "a" else -term
+    return _canonical(h, -low, nums)
 
 
 def max_height(word: Word) -> int:
@@ -304,7 +326,6 @@ def element_to_json(g: GroupElement) -> dict:
 
 
 def element_from_json(obj: dict) -> GroupElement:
-    coords = tuple(
-        TriadicRational.make(int(c["num"]), int(c["exp3"])) for c in obj["coords"]
-    )
-    return GroupElement(coords, int(obj["tee"]))
+    coords = [(int(c["num"]), int(c["exp3"])) for c in obj["coords"]]
+    exp = max([0] + [e for _, e in coords])
+    return _canonical(int(obj["tee"]), exp, [n * 3 ** (exp - e) for n, e in coords])

@@ -18,7 +18,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .bfs import _ball, bfs_spheres, coset_distance_census, relative_growth
+from .bfs import ball, bfs_spheres, coset_distance_census, relative_growth
 from .errors import FitError
 from .geodesic import (
     check_level_ranges,
@@ -35,7 +35,7 @@ from .gfsa import (
     count_words_by_length,
     quadrant_expected_growth,
 )
-from .group import eval_word, format_word, parse_word
+from .group import eval_word, format_word, is_horocyclic, parse_word
 from .growth import (
     cap_poly,
     coset_census,
@@ -279,9 +279,8 @@ def verify_language(m: int | None = None) -> dict:
             w = spell(mm, v)
             g = eval_word(w)
             if (
-                g.tee != 0
-                or not all(c.is_integer for c in g.coords)
-                or tuple(c.num for c in g.coords) != v
+                not is_horocyclic(g)
+                or g.nums != v
                 or w.length != word_length(mm, v)
             ):
                 bad = {"vector": list(v), "word": format_word(w)}
@@ -296,16 +295,13 @@ def verify_language(m: int | None = None) -> dict:
         )
         r = _LANG_BALL[mm]
         bad = None
-        for dist, sphere in enumerate(_ball(mm, r)):
-            for tee, exp, nums in sphere:
-                if tee == 0 and exp == 0 and word_length(mm, nums) != dist:
-                    bad = {
-                        "vector": list(nums),
-                        "distance": dist,
-                        "word_length": word_length(mm, nums),
-                    }
-                    break
-            if bad:
+        for g, dist in ball(mm, r).items():
+            if is_horocyclic(g) and word_length(mm, g.nums) != dist:
+                bad = {
+                    "vector": list(g.nums),
+                    "distance": dist,
+                    "word_length": word_length(mm, g.nums),
+                }
                 break
         checks.append(
             _check(
@@ -328,7 +324,7 @@ def verify_language(m: int | None = None) -> dict:
                 )
             )
             for w in enumerate_level(mm, k):
-                values.add(tuple(c.num for c in eval_word(w).coords))
+                values.add(eval_word(w).nums)
                 count += 1
         checks.append(
             _check(
@@ -458,6 +454,10 @@ def verify_gfsa() -> dict:
 
 
 def run_suite(suite: str, m: int | None = None, radius: int | None = None) -> dict:
+    if radius is not None and suite in ("appendix", "language", "gfsa"):
+        raise ValueError(f"suite {suite!r} takes no radius")
+    if m is not None and suite == "gfsa":
+        raise ValueError("suite 'gfsa' takes no rank")
     if suite == "appendix":
         return verify_appendix(m)
     if suite == "bfs":

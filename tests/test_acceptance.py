@@ -8,9 +8,8 @@ from __future__ import annotations
 import time
 
 from horogrowth.bfs import (
-    _ball,
+    ball,
     bfs_spheres,
-    bfs_subgroup_spheres,
     coset_distance_census,
     relative_growth,
 )
@@ -30,7 +29,7 @@ from horogrowth.gfsa import (
     count_words_by_length,
     quadrant_expected_growth,
 )
-from horogrowth.group import eval_word, parse_word
+from horogrowth.group import eval_word, is_horocyclic, parse_word
 from horogrowth.growth import (
     cap_poly,
     cap_poly_recursive,
@@ -107,7 +106,7 @@ def test_criterion_3_subgroup_oracle(capsys):
         (3, 6): [1, 6, 18, 38, 84, 218, 548],
     }
     for (m, radius), want in cases.items():
-        got = bfs_subgroup_spheres(m, radius)
+        got = list(bfs_spheres(m, radius).horocyclic)
         if got != want:
             problems.append(f"rank {m} radius {radius}: {got}")
     elapsed = time.monotonic() - t0
@@ -155,19 +154,17 @@ def test_criterion_5_geodesic_language(capsys):
             v = (x, y)
             w = spell(2, v)
             g = eval_word(w)
-            if (g.tee != 0 or not all(c.is_integer for c in g.coords)
-                    or tuple(c.num for c in g.coords) != v):
+            if not is_horocyclic(g) or g.nums != v:
                 problems.append(f"round trip fails at {v}")
                 break
             if w.length != word_length(2, v):
                 problems.append(f"length mismatch at {v}")
                 break
-    for dist, sphere in enumerate(_ball(2, 8)):
-        for tee, exp, nums in sphere:
-            if tee == 0 and exp == 0 and word_length(2, nums) != dist:
-                problems.append(f"distance {dist} but word length "
-                                f"{word_length(2, nums)} at {nums}")
-                break
+    for g, dist in ball(2, 8).items():
+        if is_horocyclic(g) and word_length(2, g.nums) != dist:
+            problems.append(f"distance {dist} but word length "
+                            f"{word_length(2, g.nums)} at {g.nums}")
+            break
     for m in (1, 2):
         values = {(1,) * m}
         count = 1
@@ -176,7 +173,7 @@ def test_criterion_5_geodesic_language(capsys):
             if not (info["all_distinct"] and info["all_in_box"] and info["heights_ok"]):
                 problems.append(f"level language m={m} n={n}: {info}")
             for w in enumerate_level(m, n):
-                values.add(tuple(c.num for c in eval_word(w).coords))
+                values.add(eval_word(w).nums)
                 count += 1
         if not (count == len(values) == upper**m):
             problems.append(f"tiling m={m}: {count} words, {len(values)} values, "

@@ -15,21 +15,26 @@ from hypothesis import strategies as st
 
 from horogrowth.bfs import (
     SphereCounts,
-    _apply,
-    _from_element,
-    _initial,
     _moves,
-    _to_element,
-    bfs_report,
+    ball,
     bfs_spheres,
-    bfs_subgroup_spheres,
     coset_distance_census,
     element_distance,
     relative_growth,
 )
 from horogrowth.errors import BudgetError
 from horogrowth.geodesic import word_length
-from horogrowth.group import Word, eval_word, is_horocyclic, parse_word, tau
+from horogrowth.group import (
+    GroupElement,
+    Word,
+    eval_word,
+    gen_element,
+    is_horocyclic,
+    multiply,
+    parse_word,
+    step,
+    t_element,
+)
 from horogrowth.growth import coset_census, subgroup_series
 from horogrowth.series import poly, rf_mul, rf_normalize, series_prefix
 
@@ -52,13 +57,13 @@ def brute_spheres(m: int, max_len: int):
         total[n] += 1
         if is_horocyclic(g):
             horo[n] += 1
-        level = min(tau(g), 0)
+        level = min(g.tee, 0)
         by_level.setdefault(level, [0] * (max_len + 1))[n] += 1
     return total, horo, by_level
 
 
 # ---------------------------------------------------------------------------
-# internal state representation
+# generator steps
 
 
 TOKENS2 = ["a1", "A1", "a2", "A2", "t", "T"]
@@ -67,14 +72,15 @@ TOKENS2 = ["a1", "A1", "a2", "A2", "t", "T"]
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(TOKENS2), max_size=8))
 def test_state_stepping_matches_group_multiplication(tokens):
-    word = Word(2, tuple(tokens))
-    state = _initial(2)
     moves = {tok: mv for tok, mv in zip(TOKENS2, _moves(2))}
+    stepped = multiplied = GroupElement.identity(2)
     for tok in tokens:
-        state = _apply(state, moves[tok])
-    g = eval_word(word)
-    assert state == _from_element(g)
-    assert _to_element(2, state) == g
+        index, sign = moves[tok]
+        gen = t_element(2, sign) if index < 0 else gen_element(2, index + 1, sign)
+        stepped = step(stepped, index, sign)
+        multiplied = multiply(multiplied, gen)
+        assert stepped == multiplied
+    assert stepped == eval_word(Word(2, tuple(tokens)))
 
 
 def test_move_order_is_generator_index_then_vertical():
@@ -117,8 +123,8 @@ def test_sphere_invariants(m, radius):
 
 
 def test_subgroup_sphere_goldens():
-    assert list(bfs_subgroup_spheres(1, 6)) == [1, 2, 2, 2, 4, 6, 8]
-    assert list(bfs_subgroup_spheres(2, 5)) == [1, 4, 8, 12, 24, 52]
+    assert list(bfs_spheres(1, 6).horocyclic) == [1, 2, 2, 2, 4, 6, 8]
+    assert list(bfs_spheres(2, 5).horocyclic) == [1, 4, 8, 12, 24, 52]
 
 
 def test_budget_caps():
@@ -132,14 +138,29 @@ def test_budget_caps():
         bfs_spheres(4, 1)
     with pytest.raises(ValueError):
         bfs_spheres(1, -1)
+    with pytest.raises(BudgetError):
+        coset_distance_census(1, 10**12)
+    with pytest.raises(BudgetError):
+        bfs_spheres(2, 10**12)
 
 
 def test_memory_budget_env(monkeypatch):
+    ball(2, 8)  # a cached ball must not bypass the budget
     monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
     with pytest.raises(BudgetError):
         bfs_spheres(2, 8)
+    with pytest.raises(BudgetError):
+        ball(2, 8)
     monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
     assert bfs_spheres(1, 3).total[0] == 1
+
+
+def test_ball_is_in_breadth_first_order():
+    distances = ball(2, 4)
+    assert list(distances.values()) == sorted(distances.values())
+    for g, d in distances.items():
+        near = [distances.get(step(g, *move), 99) for move in _moves(2)]
+        assert min(near) == (d - 1 if d else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +236,10 @@ def test_relative_growth_budget():
 
 
 def test_report_json_golden():
-    report = bfs_report(1, 2)
-    assert report == {
-        "m": 1,
-        "radius": 2,
-        "total": [1, 4, 12],
-        "horocyclic": [1, 2, 2],
-        "chi": {"0": [1, 1, 3], "-1": [0, 1, 0], "-2": [0, 0, 1]},
+    counts = bfs_spheres(1, 2)
+    assert (list(counts.total), list(counts.horocyclic)) == ([1, 4, 12], [1, 2, 2])
+    assert coset_distance_census(1, 2).to_json()["chi"] == {
+        "0": [1, 1, 3],
+        "-1": [0, 1, 0],
+        "-2": [0, 0, 1],
     }

@@ -4,13 +4,19 @@ determinism, and the exit-code contract (0 ok, 2 verification failure,
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import horogrowth.cli as cli
 from horogrowth.cli import main
+
+
+# the checkout's package for `python -m horogrowth` in a child process
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 
 def run_main(capsys, *argv):
@@ -164,6 +170,45 @@ def test_verify_json_erratum(capsys):
     assert obj["erratum"][0]["first_mismatch"] == 1
 
 
+def test_language_suite_honours_the_budget(monkeypatch, capsys):
+    monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
+    rc, _, err = run_main(capsys, "verify", "--suite", "language", "--m", "2")
+    assert rc == 3
+    assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "gfsa", "--m", "7"),
+        ("--suite", "appendix", "--radius", "99"),
+        ("--suite", "language", "--radius", "3"),
+        ("--suite", "gfsa", "--radius", "3"),
+    ],
+)
+def test_verify_rejects_flags_the_suite_ignores(capsys, argv):
+    rc, out, err = run_main(capsys, "verify", *argv)
+    assert rc == 3
+    assert out == ""
+    assert "takes no" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spell", "--m", "1", "--vector", "3"),
+        ("eval", "--m", "1", "--word", "t"),
+        ("verify", "--suite", "gfsa"),
+        ("census", "--m", "1"),
+    ],
+)
+def test_latex_output_only_for_series(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", "latex"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_subcommand_exits_3():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -197,14 +242,14 @@ def test_json_byte_determinism_subprocess():
         sys.executable, "-m", "horogrowth",
         "verify", "--suite", "gfsa", "--output", "json",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=SRC_ENV)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=SRC_ENV)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["pass"] is True
 
 
 def test_module_entry_subprocess():
     cmd = [sys.executable, "-m", "horogrowth", "spell", "--m", "2", "--vector", "10,16"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "ttabbTBTab (length 10)\n"

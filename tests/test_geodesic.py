@@ -25,11 +25,7 @@ from horogrowth.geodesic import (
     u_word,
     word_length,
 )
-from horogrowth.group import GroupElement, TriadicRational, eval_word, max_height, parse_word
-
-
-def _coords(*vals):
-    return tuple(TriadicRational.make(v, 0) for v in vals)
+from horogrowth.group import GroupElement, eval_word, max_height, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +144,7 @@ def test_word_length_hand_values():
 def test_spell_evaluates_to_target(vec):
     m = len(vec)
     w = spell(m, tuple(vec))
-    assert eval_word(w) == GroupElement(_coords(*vec), 0)
+    assert eval_word(w) == GroupElement(0, 0, tuple(vec))
     assert w.length == word_length(m, tuple(vec))
 
 

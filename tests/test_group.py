@@ -23,14 +23,12 @@ from horogrowth.group import (
     eval_word,
     format_word,
     gen_element,
-    in_positive_orthant,
     inverse,
     is_horocyclic,
     max_height,
     multiply,
     parse_word,
     t_element,
-    tau,
 )
 
 # ---------------------------------------------------------------------------
@@ -45,15 +43,17 @@ def test_triadic_canonicalization():
 
 
 def test_triadic_arithmetic():
-    third = TriadicRational.make(1, 1)
-    assert third + third + third == TriadicRational(1, 0)
-    assert third + TriadicRational.make(1, 2) == TriadicRational(4, 2)
-    assert -third == TriadicRational(-1, 1)
-    assert third.scale3(1) == TriadicRational(1, 0)
-    assert third.scale3(-1) == TriadicRational(1, 2)
-    assert third.as_fraction() == Fraction(1, 3)
+    # a^(1/3) = T a t; three of them make a, and conjugating by t scales by 3
+    third = eval_word(parse_word("Tat", 1))
+    assert third == GroupElement(0, 1, (1,))
+    assert multiply(multiply(third, third), third) == GroupElement(0, 0, (1,))
+    assert inverse(third) == GroupElement(0, 1, (-1,))
+    t = t_element(1, 1)
+    assert multiply(multiply(t, third), inverse(t)) == GroupElement(0, 0, (1,))
+    assert multiply(multiply(inverse(t), third), t) == GroupElement(0, 2, (1,))
+    assert third.coords == (TriadicRational(1, 1),)
     assert TriadicRational.make(4, 0).is_integer
-    assert not third.is_integer
+    assert not third.coords[0].is_integer
 
 
 @given(st.integers(-200, 200), st.integers(-3, 6))
@@ -62,7 +62,7 @@ def test_triadic_canonical_invariant(num, exp):
     assert r.exp >= 0
     if r.exp > 0:
         assert r.num % 3 != 0
-    assert r.as_fraction() == Fraction(num, 1) * Fraction(3) ** -exp
+    assert Fraction(r.num, 3**r.exp) == Fraction(num, 1) * Fraction(3) ** -exp
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +74,12 @@ def test_multiply_pinned_commutator():
     g = GroupElement.identity(m)
     for step in (t_element(m, 1), gen_element(m, 1, 1), t_element(m, -1), gen_element(m, 1, -1)):
         g = multiply(g, step)
-    assert g == GroupElement((TriadicRational(2, 0),), 0)
+    assert g == GroupElement(0, 0, (2,))
 
 
 def test_eval_word_examples():
-    assert eval_word(parse_word("taT", 1)) == GroupElement((TriadicRational(3, 0),), 0)
-    assert eval_word(parse_word("ta^2TA", 1)) == GroupElement((TriadicRational(5, 0),), 0)
+    assert eval_word(parse_word("taT", 1)) == GroupElement(0, 0, (3,))
+    assert eval_word(parse_word("ta^2TA", 1)) == GroupElement(0, 0, (5,))
     g = eval_word(parse_word("Tat", 1))
     assert g.coords == (TriadicRational(1, 1),)
     assert g.tee == 0
@@ -88,9 +88,11 @@ def test_eval_word_examples():
 
 def test_eval_word_two_generators():
     g = eval_word(parse_word("ttabbTBTab", 2))
-    assert g == GroupElement((TriadicRational(10, 0), TriadicRational(16, 0)), 0)
+    assert g == GroupElement(0, 0, (10, 16))
     h = eval_word(parse_word("ttbbTaBTAb", 2))
-    assert h == GroupElement((TriadicRational(2, 0), TriadicRational(16, 0)), 0)
+    assert h == GroupElement(0, 0, (2, 16))
+    # shared exponent: a^(1/9) b^(1/3) t^-2
+    assert eval_word(parse_word("TbTa", 2)) == GroupElement(-2, 2, (1, 3))
 
 
 def test_inverse_pinned():
@@ -100,16 +102,13 @@ def test_inverse_pinned():
 
 
 def test_tau_and_flags():
-    assert tau(eval_word(parse_word("taaTa", 1))) == 0
-    assert tau(eval_word(parse_word("T", 1))) == -1
+    assert eval_word(parse_word("taaTa", 1)).tee == 0
+    assert eval_word(parse_word("T", 1)).tee == -1
     e = GroupElement.identity(2)
     assert is_horocyclic(e)
-    assert not in_positive_orthant(e)
-    ab2 = eval_word(parse_word("abb", 2))
-    assert is_horocyclic(ab2)
-    assert in_positive_orthant(ab2)
-    assert not in_positive_orthant(eval_word(parse_word("Ab", 2)))
+    assert is_horocyclic(eval_word(parse_word("abb", 2)))
     assert not is_horocyclic(eval_word(parse_word("t", 1)))
+    assert not is_horocyclic(eval_word(parse_word("Tat", 1)))
 
 
 def test_max_height():
@@ -130,6 +129,8 @@ def test_coset_key():
     assert coset_key(eval_word(parse_word("Taat", 1))) != coset_key(g)
     t = eval_word(parse_word("t", 1))
     assert coset_key(t) != coset_key(GroupElement.identity(1))
+    # (1/9, 0) has the same residue over a larger denominator
+    assert coset_key(eval_word(parse_word("TTatt", 1))) != coset_key(g)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +231,8 @@ def test_inverse_law(w):
 
 @given(words_m2, words_m2)
 def test_tau_is_a_homomorphism(w1, w2):
-    assert tau(multiply(eval_word(w1), eval_word(w2))) == tau(eval_word(w1)) + tau(
-        eval_word(w2)
-    )
+    product = multiply(eval_word(w1), eval_word(w2))
+    assert product.tee == eval_word(w1).tee + eval_word(w2).tee
 
 
 @given(words_m2)
@@ -253,3 +253,21 @@ def test_coset_key_right_invariance(w):
         for sign in (1, -1):
             h = multiply(g, gen_element(2, i, sign))
             assert coset_key(h) == coset_key(g)
+
+
+@given(words_m2)
+def test_elements_are_canonical(w):
+    g = eval_word(w)
+    assert g.exp >= 0
+    if g.exp > 0:
+        assert any(n % 3 for n in g.nums)
+    assert element_from_json(element_to_json(g)) == g
+    assert [c.num * 3 ** (g.exp - c.exp) for c in g.coords] == list(g.nums)
+
+
+
+@given(words_m2, words_m2)
+def test_coset_key_separates_cosets(w1, w2):
+    g, h = eval_word(w1), eval_word(w2)
+    same = is_horocyclic(multiply(inverse(g), h))
+    assert (coset_key(g) == coset_key(h)) == same
