@@ -73,6 +73,9 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 _SERIES_KINDS = ("W", "V", "R", "P", "sub", "full", "X0", "Xm1", "B")
+# largest prefix order: at the rank cap the full series' 2000th coefficient
+# has 2,572 digits, under Python's 4,300-digit int-to-string limit
+TERMS_CAP = 2000
 
 
 def _series_function(kind: str, m: int, n: int):
@@ -100,6 +103,8 @@ def _series_function(kind: str, m: int, n: int):
 def _cmd_series(args) -> int:
     if args.terms < 0:
         raise ValueError("--terms must be nonnegative")
+    if args.terms > TERMS_CAP:
+        raise BudgetError(f"--terms {args.terms} exceeds the supported cap {TERMS_CAP}")
     f = _series_function(args.kind, args.m, args.n)
     prefix = series_prefix(f, args.terms)
     if args.output == "json":

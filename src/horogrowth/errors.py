@@ -8,5 +8,4 @@ class BudgetError(RuntimeError):
 
 class FitError(RuntimeError):
     """Raised when census data cannot be matched by a numerator of the
-    permitted degree, or when two independently computed forms of the same
-    series disagree."""
+    permitted degree, or when a fitted series fails its certification."""

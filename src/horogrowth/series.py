@@ -247,15 +247,26 @@ class RationalFunction:
 
 def rf_normalize(num, den) -> RationalFunction:
     """Reduce num/den to canonical form."""
-    num, den = _as_poly(num), _as_poly(den)
-    if not den:
+    return rf_reduce(num, (den,))
+
+
+def rf_reduce(num, factors) -> RationalFunction:
+    """Reduce num over the product of factors to canonical form, one factor
+    at a time: gcd(a, bc) = gcd(a, b) gcd(a / gcd(a, b), c).  Against small
+    factors this costs far less than one gcd against their product."""
+    num = _as_poly(num)
+    factors = [_as_poly(d) for d in factors]
+    if not all(factors):
         raise ValueError("zero denominator")
     if not num:
         return RationalFunction(ZERO, ONE)
-    g = poly_gcd(num, den)
-    if g != ONE:
-        num = exact_div(num, g)
-        den = exact_div(den, g)
+    den = ONE
+    for d in factors:
+        g = poly_gcd(num, d)
+        if g != ONE:
+            num = exact_div(num, g)
+            d = exact_div(d, g)
+        den = den * d
     low = next(c for c in den.coeffs if c)
     if low < 0:
         num, den = -num, -den

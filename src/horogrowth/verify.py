@@ -9,7 +9,8 @@ Suites:
   appendix  closed forms and series rows against the published tables
   bfs       closed forms against brute-force Cayley-graph enumeration
   language  geodesic spelling: round trip, minimality, level tiling
-  census    coset census: stem DP vs enumeration, level-series fits
+  census    coset census: stem DP vs enumeration, level-series fits, the
+            full series against its product form
   gfsa      automaton growth against closed forms and word enumeration
 """
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .growth import (
     published_full_form,
     relative_growth_series,
     subgroup_series,
+    suffix_poly,
 )
 from .series import (
     ONE,
@@ -54,6 +56,7 @@ from .series import (
     poly,
     poly_str,
     rf_normalize,
+    rf_reduce,
     rf_str,
     series_prefix,
 )
@@ -126,52 +129,31 @@ def _rational_of(entry) -> RationalFunction:
 def verify_appendix(m: int | None = None) -> dict:
     """Compare computed series against the published reference tables."""
     data = _golden()
+    ranks = sorted(row["m"] for row in data["subgroup"])
+    if m is not None and m not in ranks:
+        raise ValueError(f"the appendix tables cover ranks {ranks[0]} to {ranks[-1]}")
+    comps = data["components"]
+    tables = (
+        (data["subgroup"], "series", subgroup_series, "subgroup series"),
+        (
+            comps["V"],
+            "coeffs",
+            lambda k: rf_normalize(cap_poly(k), ONE),
+            "cap polynomial",
+        ),
+        (comps["R"], "prefix", prefix_suffix_series, "prefix/suffix series"),
+        (comps["P"], "prefix", positive_series, "positive-orthant series"),
+        (comps["S"], "prefix", subgroup_series, "subgroup series (three-rank table)"),
+    )
     checks = []
-    for row in data["subgroup"]:
-        mm = row["m"]
-        if m is not None and mm != m:
-            continue
-        computed = subgroup_series(mm)
-        target = _rational_of(row)
-        checks.append(
-            _check(
-                f"rank {mm}: subgroup series rational form",
-                computed == target,
-                {"computed": rf_str(computed), "expected": rf_str(target)},
-            )
-        )
-        want = [int(v) for v in row["series"]]
-        checks.append(
-            _prefix_check(
-                f"rank {mm}: subgroup series row",
-                series_prefix(computed, len(want) - 1),
-                want,
-            )
-        )
-    components = data["components"]
-    for entry in components["V"]:
-        mm = entry["m"]
-        if m is not None and mm != m:
-            continue
-        checks.append(
-            _prefix_check(
-                f"rank {mm}: cap polynomial row",
-                cap_poly(mm).coeffs,
-                [int(v) for v in entry["coeffs"]],
-            )
-        )
-    for key, series_fn, label in (
-        ("R", prefix_suffix_series, "prefix/suffix series"),
-        ("P", positive_series, "positive-orthant series"),
-        ("S", subgroup_series, "subgroup series (three-rank table)"),
-    ):
-        for entry in components[key]:
-            mm = entry["m"]
+    for rows, key, series_fn, label in tables:
+        for row in rows:
+            mm = row["m"]
             if m is not None and mm != m:
                 continue
             computed = series_fn(mm)
-            if "num_factors" in entry:
-                target = _rational_of(entry)
+            if "num_factors" in row:
+                target = _rational_of(row)
                 checks.append(
                     _check(
                         f"rank {mm}: {label} rational form",
@@ -179,7 +161,7 @@ def verify_appendix(m: int | None = None) -> dict:
                         {"computed": rf_str(computed), "expected": rf_str(target)},
                     )
                 )
-            want = [int(v) for v in entry["prefix"]]
+            want = [int(v) for v in row[key]]
             checks.append(
                 _prefix_check(
                     f"rank {mm}: {label} row",
@@ -394,6 +376,18 @@ def verify_census(m: int | None = None, radius: int | None = None) -> dict:
                     },
                 )
             )
+        w, s = suffix_poly(mm), subgroup_series(mm)
+        product = rf_reduce(
+            poly(1, 0, -1) * (ONE + w.shift(1)) * s.num,
+            (s.den, ONE - w.shift(1), ONE - w.shift(2)),
+        )
+        checks.append(
+            _check(
+                f"rank {mm}: assembled full series equals its product form",
+                full_series(mm) == product,
+                {"computed": rf_str(full_series(mm)), "expected": rf_str(product)},
+            )
+        )
         rr = 6 if mm == 1 else 4
         for stem_text, n in _STEMS:
             stem = parse_word(stem_text, mm)

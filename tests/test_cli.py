@@ -132,6 +132,41 @@ def test_census_budget_exit(capsys):
     assert "budget" in err
 
 
+def test_terms_cap_refused_before_any_work(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("series built before the terms check")
+
+    monkeypatch.setattr(cli, "_series_function", fail)
+    terms = str(cli.TERMS_CAP + 1)
+    rc, out, err = run_main(capsys, "series", "--kind", "P", "--m", "2", "--terms", terms)
+    assert rc == 3
+    assert out == ""
+    assert "budget error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--m", "200", "--rmax", "24"),
+        ("series", "--kind", "full", "--m", "40"),
+        ("series", "--kind", "B", "--m", "2", "--n", "100000"),
+        ("series", "--kind", "full", "--m", "2", "--terms", "100000"),
+    ],
+)
+def test_oversized_inputs_exit_3(capsys, argv):
+    rc, out, err = run_main(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert "budget error" in err
+
+
+def test_appendix_rank_outside_the_tables_exits_3(capsys):
+    rc, out, err = run_main(capsys, "verify", "--suite", "appendix", "--m", "20")
+    assert rc == 3
+    assert out == ""
+    assert "ranks 1 to 10" in err
+
+
 def test_verify_pass_exit(capsys):
     rc, out, _ = run_main(capsys, "verify", "--suite", "gfsa")
     assert rc == 0
@@ -246,6 +281,14 @@ def test_json_byte_determinism_subprocess():
     second = subprocess.run(cmd, capture_output=True, check=True, env=SRC_ENV)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["pass"] is True
+
+
+def test_rank_cap_exit_subprocess():
+    cmd = [sys.executable, "-m", "horogrowth", "series", "--kind", "sub", "--m", "31"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=SRC_ENV, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget error: rank 31")
 
 
 def test_module_entry_subprocess():

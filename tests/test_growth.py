@@ -6,6 +6,8 @@ before the closed forms were implemented.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -14,6 +16,8 @@ import pytest
 from horogrowth.errors import BudgetError, FitError
 from horogrowth.geodesic import cap_words, suffix_words, word_length
 from horogrowth.growth import (
+    RANK_CAP,
+    STEM_DEPTH_CAP,
     CosetCensus,
     cap_poly,
     cap_poly_recursive,
@@ -34,6 +38,7 @@ from horogrowth.series import (
     poly,
     rf_mul,
     rf_normalize,
+    rf_to_json,
     series_prefix,
 )
 
@@ -148,7 +153,7 @@ def test_positive_series_prefix_goldens():
     assert list(series_prefix(positive_series(3), 8)) == [0, 0, 0, 1, 3, 10, 34, 94, 251]
 
 
-@pytest.mark.parametrize("m,nmax", [(1, 10), (2, 8), (3, 6)])
+@pytest.mark.parametrize("m,nmax", [(1, 10), (2, 8), (3, 6), (4, 7)])
 def test_positive_series_counts_orthant_vectors(m, nmax):
     assert list(series_prefix(positive_series(m), nmax)) == count_positive_by_length(m, nmax)
 
@@ -204,9 +209,62 @@ def test_subgroup_series_counts_lattice_vectors(m, nmax):
     assert list(series_prefix(subgroup_series(m), nmax)) == count_lattice_by_length(m, nmax)
 
 
+@pytest.mark.parametrize("m", [11, 12, 16, 20])
+def test_subgroup_series_low_order_beyond_the_appendix(m):
+    # spheres of radius 0..3: the identity; the 2m unit vectors; sums of two
+    # unit vectors; and three distinct units, a doubled unit beside another,
+    # or a lone +-3 (spelled t a t^-1)
+    want = [1, 2 * m, 2 * m * m, 8 * math.comb(m, 3) + 4 * m * (m - 1) + 2 * m]
+    assert list(series_prefix(subgroup_series(m), 3)) == want
+
+
+# sha256 of the canonical JSON of each form, recorded from the
+# composition-enumeration implementation these forms replaced
+POSITIVE_DIGESTS = {
+    4: "f198a16b1f4a11a72c8ec7205548f2d535a653e27544da48600b31430579bfd1",
+    5: "77f296ffc6a6cf6ce79c02dcbedb5999d4d86d2cd74fe6a0a12bd81ea3e6fd13",
+    6: "927c99118e99ee383ab7fb288e5a37e039ba25df55cb4550954642ab3840f77b",
+    7: "39c8060634c837d510f4bc65cbb89e19996f127ff1ce8b58c4391ef33c864c25",
+    8: "e361eb8891b611ea7906d5633094d4d244b53c3e8a1c141a4ec5f63ce347bd5a",
+    9: "dffac9af6b10d50a8b91102201633f939e5a75a3e38a012ebe5b4fa2a66a72d6",
+    10: "4a9cc09d5f96593ccba16586803d2e464eb8e873e695a3faeddc5adcb492915e",
+    11: "c93403abb95f3ec1a99027bfc54e6f7ce247170e458fbc9a2d5d315279d9a888",
+    12: "e7a0306d3476595eb6aa5df31f36f3249f173fa0a1efeeeb7b3de96ae1014476",
+}
+SUBGROUP_DIGESTS = {
+    11: "93e839070d51063dc1eb37029153842cce489734becde3b07621d52c1c9bfc5e",
+    12: "9d869beeba44e77a2af56442f07b911b741a1305f556bfab930a2a6957b200bf",
+}
+
+
+def rf_digest(f) -> str:
+    text = json.dumps(rf_to_json(f), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m", sorted(POSITIVE_DIGESTS))
+def test_positive_series_digests(m):
+    assert rf_digest(positive_series(m)) == POSITIVE_DIGESTS[m]
+
+
+@pytest.mark.parametrize("m", sorted(SUBGROUP_DIGESTS))
+def test_subgroup_series_digests(m):
+    assert rf_digest(subgroup_series(m)) == SUBGROUP_DIGESTS[m]
+
+
 def test_subgroup_series_rejects_bad_rank():
     with pytest.raises(ValueError):
         subgroup_series(0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [positive_series, subgroup_series, full_series, lambda m: coset_census(m, 4)],
+    ids=["positive", "subgroup", "full", "census"],
+)
+def test_rank_cap(build):
+    with pytest.raises(BudgetError):
+        build(RANK_CAP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +400,14 @@ def test_relative_growth_series():
     )
     with pytest.raises(ValueError):
         relative_growth_series(1, -1)
+
+
+def test_stem_depth_cap():
+    assert relative_growth_series(1, STEM_DEPTH_CAP) == rf_mul(
+        rf_normalize(suffix_poly(1) ** STEM_DEPTH_CAP, ONE), subgroup_series(1)
+    )
+    with pytest.raises(BudgetError):
+        relative_growth_series(1, STEM_DEPTH_CAP + 1)
 
 
 # ---------------------------------------------------------------------------

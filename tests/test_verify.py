@@ -37,6 +37,12 @@ def test_appendix_restricted_to_one_rank():
     ]
 
 
+@pytest.mark.parametrize("m", [0, 11, 20])
+def test_appendix_rejects_ranks_outside_the_tables(m):
+    with pytest.raises(ValueError, match="ranks 1 to 10"):
+        verify.verify_appendix(m)
+
+
 def test_appendix_witness_on_corruption(monkeypatch):
     good = verify.subgroup_series
 
@@ -68,6 +74,24 @@ def test_bfs_erratum_rank_two():
     (diag,) = report["erratum"]
     assert diag["published_prefix"][1] == 7
     assert diag["enumerated_prefix"][1] == 6
+
+
+def test_census_checks_full_series_against_its_product_form(monkeypatch):
+    name = "rank 1: assembled full series equals its product form"
+    report = verify.verify_census(m=1)
+    assert next(c for c in report["checks"] if c["name"] == name)["pass"] is True
+
+    good = verify.full_series
+
+    def tampered(m):
+        f = good(m)
+        return rf_normalize(f.num + poly(0, 1), f.den)
+
+    monkeypatch.setattr(verify, "full_series", tampered)
+    report = verify.verify_census(m=1)
+    check = next(c for c in report["checks"] if c["name"] == name)
+    assert check["pass"] is False
+    assert set(check["witness"]) == {"computed", "expected"}
 
 
 def test_census_reports_fitted_numerators():
