@@ -8,7 +8,8 @@ import json
 import pytest
 
 import horogrowth.verify as verify
-from horogrowth.series import poly, poly_str, rf_normalize
+from horogrowth.errors import FitError
+from horogrowth.series import ONE, poly, poly_str, rf_normalize
 from horogrowth.verify import SUITES, run_suite
 
 
@@ -59,6 +60,17 @@ def test_appendix_witness_on_corruption(monkeypatch):
     assert series_fail["witness"]["index"] == 1
 
 
+def test_appendix_checks_the_whole_cap_polynomial(monkeypatch):
+    # a term above the table's degree must fail the row, not be cut off
+    good = verify.cap_poly
+    monkeypatch.setattr(verify, "cap_poly", lambda k: good(k) + ONE.shift(40))
+    report = verify.verify_appendix(m=2)
+    check = next(c for c in report["checks"] if c["name"] == "rank 2: cap polynomial row")
+    assert check["pass"] is False
+    assert check["witness"]["computed_length"] == 41
+    assert report["pass"] is False
+
+
 def test_bfs_erratum_diagnostics():
     report = verify.verify_bfs(m=1, radius=4)
     assert report["pass"] is True
@@ -92,6 +104,21 @@ def test_census_checks_full_series_against_its_product_form(monkeypatch):
     check = next(c for c in report["checks"] if c["name"] == name)
     assert check["pass"] is False
     assert set(check["witness"]) == {"computed", "expected"}
+
+
+def test_census_reports_a_failed_level_series_fit(monkeypatch):
+    def unfitted(m):
+        raise FitError("no fit")
+
+    # full_series is built from the level series, so it fails with it
+    monkeypatch.setattr(verify, "level_series", unfitted)
+    monkeypatch.setattr(verify, "full_series", unfitted)
+    report = verify.verify_census(m=1)
+    assert report["pass"] is False
+    fit = next(c for c in report["checks"] if c["name"] == "rank 1: level-series fit")
+    assert fit["pass"] is False
+    assert fit["witness"] == {"error": "no fit"}
+    assert not any("product form" in c["name"] for c in report["checks"])
 
 
 def test_census_reports_fitted_numerators():
