@@ -29,7 +29,8 @@ print("subgroup series prefix:   ", list(series_prefix(subgroup_series(1), 10)))
 for level, column in sorted(counts.by_level.items(), reverse=True):
     print(f"  level {level}: {list(column)}")
 
-# Geodesic distance of a single lattice element, found by growing
-# balls from both endpoints.
+# Geodesic distance of a single lattice element, found by meeting in the
+# middle on the identity's enumeration: left multiplication by the target
+# is a graph automorphism, so one ball serves both endpoints.
 print("distance to a^6:", element_distance(1, (6,)))
 print("distance to a^10 b^16:", element_distance(2, (10, 16)))

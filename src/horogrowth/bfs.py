@@ -3,26 +3,27 @@
 This is the brute-force certificate for the closed-form series: sphere
 sizes, geodesic distances, coset distances, and relative coset growth
 are measured directly on group elements, never through a formula.
-Elements are enumerated in the packed form of ``group`` and stepped
-with ``group.step``.
-
-Enumeration is capped per rank and by an overall memory budget taken
-from the environment variable HOROGROWTH_BUDGET_MB (default 512); work
-that would exceed either raises BudgetError before any state is stored.
+Each rank has one enumeration from the identity, in the packed form of
+``group`` and stepped with ``group.step``; it grows a sphere at a time
+on demand, and every ball is a view of its first spheres.  Radii are
+capped per rank, and stored states are counted against a memory budget
+(HOROGROWTH_BUDGET_MB, default 512): a sphere that would overrun it is
+discarded and BudgetError raised, keeping the whole spheres.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .errors import BudgetError
 from .geodesic import word_length
-from .group import GroupElement, Word, coset_key, eval_word, is_horocyclic, step
-from .growth import CosetCensus, full_series
-from .series import series_prefix
+from .group import (
+    GroupElement, Word, coset_key, eval_word, is_horocyclic, multiply, step
+)
+from .growth import CosetCensus
 
 RADIUS_CAP = {1: 12, 2: 9, 3: 7}
 
@@ -38,83 +39,91 @@ def _moves(m: int) -> tuple[tuple[int, int], ...]:
     return lattice + ((-1, 1), (-1, -1))
 
 
-# ---------------------------------------------------------------------------
-# budgets
-
-
 def _budget_bytes() -> int:
-    raw = os.environ.get("HOROGROWTH_BUDGET_MB")
-    if raw is None:
-        mb = _DEFAULT_BUDGET_MB
-    else:
-        try:
-            mb = int(raw)
-        except ValueError:
-            raise BudgetError(f"HOROGROWTH_BUDGET_MB is not an integer: {raw!r}")
-        if mb <= 0:
-            raise BudgetError(f"HOROGROWTH_BUDGET_MB must be positive: {mb}")
+    raw = os.environ.get("HOROGROWTH_BUDGET_MB", str(_DEFAULT_BUDGET_MB))
+    try:
+        mb = int(raw)
+    except ValueError:
+        raise BudgetError(f"HOROGROWTH_BUDGET_MB is not an integer: {raw!r}")
+    if mb <= 0:
+        raise BudgetError(f"HOROGROWTH_BUDGET_MB must be positive: {mb}")
     return mb * 1024 * 1024
 
 
-def _ball_states(m: int, radius: int) -> int:
-    """Exact number of states in the ball, from the closed-form series."""
-    return sum(series_prefix(full_series(m), radius))
+class _Enumeration:
+    """Graph distances from the identity in breadth-first order: the first
+    ends[r] elements lie within radius r, and frontier is the last sphere."""
+
+    def __init__(self, m: int):
+        self.moves = _moves(m)
+        self.frontier = [GroupElement.identity(m)]
+        self.dist = {self.frontier[0]: 0}
+        self.ends = [1]
+
+    def grow(self, radius: int, limit: int) -> bool:
+        """Whether the ball fits in limit states, enumerating out to radius
+        if so; a sphere that overruns the limit is discarded."""
+        dist = self.dist
+        while len(self.ends) <= radius:
+            r = len(self.ends)
+            for g in self.frontier:
+                for index, sign in self.moves:
+                    nb = step(g, index, sign)
+                    if nb not in dist:
+                        dist[nb] = r
+                if len(dist) > limit:
+                    while len(dist) > self.ends[-1]:
+                        dist.popitem()
+                    return False
+            self.frontier = list(islice(dist, self.ends[-1], None))
+            self.ends.append(len(dist))
+        return self.ends[radius] <= limit
 
 
-def _check_memory(m: int, states: int) -> None:
-    need = states * (_STATE_BYTES + _STATE_BYTES_PER_COORD * m)
-    allowed = _budget_bytes()
-    if need > allowed:
-        raise BudgetError(
-            f"enumeration needs about {need} bytes but the budget is "
-            f"{allowed} (set HOROGROWTH_BUDGET_MB to raise it)"
-        )
+_enumeration = lru_cache(maxsize=None)(_Enumeration)
 
 
-def _check_budget(m: int, radius: int) -> None:
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    cap = RADIUS_CAP.get(m)
-    if cap is None:
-        raise BudgetError(f"no enumeration budget for rank {m}")
-    if radius > cap:
-        raise BudgetError(f"radius {radius} exceeds the rank-{m} cap {cap}")
-    _check_memory(m, _ball_states(m, radius))
+class _SphereView(Mapping):
+    """Spheres 0..radius of an enumeration, read-only.  items() is an
+    iterator, and like any dict iterator it fails if the enumeration grows."""
 
+    def __init__(self, dist: dict[GroupElement, int], radius: int, size: int):
+        self._dist, self._radius, self._size = dist, radius, size
 
-# ---------------------------------------------------------------------------
-# balls
+    def __getitem__(self, g: GroupElement) -> int:
+        d = self._dist[g]
+        if d > self._radius:
+            raise KeyError(g)
+        return d
 
+    def __iter__(self):
+        return islice(self._dist, self._size)
 
-def _distances_from(start: GroupElement, radius: int) -> dict[GroupElement, int]:
-    """Graph distance from start of every element within radius, in
-    breadth-first order."""
-    moves = _moves(start.m)
-    dist = {start: 0}
-    frontier = [start]
-    for r in range(1, radius + 1):
-        fresh = []
-        for g in frontier:
-            for index, sign in moves:
-                nb = step(g, index, sign)
-                if nb not in dist:
-                    dist[nb] = r
-                    fresh.append(nb)
-        frontier = fresh
-    return dist
+    def __len__(self) -> int:
+        return self._size
 
-
-@lru_cache(maxsize=None)
-def _ball(m: int, radius: int) -> Mapping[GroupElement, int]:
-    return MappingProxyType(_distances_from(GroupElement.identity(m), radius))
+    def items(self):
+        return islice(self._dist.items(), self._size)
 
 
 def ball(m: int, radius: int) -> Mapping[GroupElement, int]:
     """Graph distance from the identity of every element within radius,
     in breadth-first order (so distances never decrease).  The budget is
-    checked on every call; the ball itself is cached."""
-    _check_budget(m, radius)
-    return _ball(m, radius)
+    checked on every call, against the states the ball holds."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if radius > RADIUS_CAP.get(m, -1):
+        raise BudgetError(
+            f"no rank-{m} ball of radius {radius} within the radius caps {RADIUS_CAP}"
+        )
+    limit = _budget_bytes() // (_STATE_BYTES + _STATE_BYTES_PER_COORD * m)
+    enum = _enumeration(m)
+    if not enum.grow(radius, limit):
+        raise BudgetError(
+            f"the rank-{m} ball of radius {radius} holds more than the {limit} "
+            "states the memory budget allows (set HOROGROWTH_BUDGET_MB to raise it)"
+        )
+    return _SphereView(enum.dist, radius, enum.ends[radius])
 
 
 @dataclass(frozen=True)
@@ -149,31 +158,20 @@ def bfs_spheres(m: int, radius: int) -> SphereCounts:
 
 
 def element_distance(m: int, vec: Sequence[int]) -> int:
-    """Graph distance from the identity to the lattice element a^vec.
-
-    Works by growing balls around both endpoints to half the spelled
-    word length, so it needs word_length(m, vec) <= 2 * RADIUS_CAP[m].
-    """
+    """Graph distance from the identity to g = a^vec, for word_length(m, vec)
+    <= 2 * RADIUS_CAP[m].  Left multiplication is a graph automorphism, so
+    this is the least d(e, s) + d(e, g^-1 s) over s in the half ball."""
     if len(vec) != m:
         raise ValueError("vector length does not match the rank")
-    cap = RADIUS_CAP.get(m)
-    if cap is None:
-        raise BudgetError(f"no enumeration budget for rank {m}")
-    if not any(vec):
-        return 0
     upper = word_length(m, vec)
-    if upper > 2 * cap:
-        raise BudgetError(
-            f"word length {upper} exceeds twice the rank-{m} cap {cap}"
-        )
     near = upper // 2
-    far = upper - near
-    _check_memory(m, _ball_states(m, near) + _ball_states(m, far))
-    df = _distances_from(GroupElement.identity(m), near)
-    db = _distances_from(GroupElement(0, 0, tuple(vec)), far)
-    if len(db) < len(df):
-        df, db = db, df
-    return min(df[s] + db[s] for s in df if s in db)
+    back = ball(m, upper - near)
+    ginv = GroupElement(0, 0, tuple(-x for x in vec))
+    return min(
+        d + e
+        for s, d in ball(m, near).items()
+        if (e := back.get(multiply(ginv, s))) is not None
+    )
 
 
 # ---------------------------------------------------------------------------

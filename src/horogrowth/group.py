@@ -21,6 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import BudgetError
+
+# longest word parse_word accepts: 3^8000 has 3,818 digits, so nothing an
+# accepted word evaluates to reaches the 4,300-digit int-to-string limit
+WORD_LENGTH_CAP = 8000
+
 
 @dataclass(frozen=True)
 class TriadicRational:
@@ -188,8 +194,12 @@ class Word:
 
 
 def parse_word(text: str, m: int) -> Word:
-    """Parse a word like 'ttabbTBTab' or 't^2a1A3^2' (see module docstring)."""
-    tokens: list[str] = []
+    """Parse a word like 'ttabbTBTab' or 't^2a1A3^2' (see module docstring).
+
+    Words longer than WORD_LENGTH_CAP tokens raise BudgetError before any
+    token is built."""
+    runs: list[tuple[str, int]] = []
+    length = 0
     i = 0
     n = len(text)
     while i < n:
@@ -230,14 +240,25 @@ def parse_word(text: str, m: int) -> Word:
                 raise ValueError("'^' must be followed by an integer")
             while j < n and text[j].isdigit():
                 j += 1
-            count = int(text[i:j])
+            if len(text[i:j].lstrip("-0")) > len(str(WORD_LENGTH_CAP)):
+                count = WORD_LENGTH_CAP + 1  # over the cap: never converted
+            else:
+                count = int(text[i:j])
             i = j
         if count < 0:
             sign, count = -sign, -count
+        length += count
+        if length > WORD_LENGTH_CAP:
+            raise BudgetError(
+                f"word is longer than the cap of {WORD_LENGTH_CAP} tokens"
+            )
         if base == "t":
             tok = "t" if sign > 0 else "T"
         else:
             tok = base if sign > 0 else "A" + base[1:]
+        runs.append((tok, count))
+    tokens: list[str] = []
+    for tok, count in runs:
         tokens.extend([tok] * count)
     return Word(m, tuple(tokens))
 

@@ -166,8 +166,13 @@ def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     lb = b[-1]
     r = list(a)
     while len(r) - 1 >= db:
-        lead = r[-1]
-        r = [c * lb for c in r[:-1]]
+        lead = r.pop()
+        if lead % lb:
+            # scale only when lb does not divide lead: every scaling adds the
+            # bits of lb to every coefficient
+            r = [c * lb for c in r]
+        else:
+            lead //= lb
         off = len(r) - db
         for j in range(db):
             r[off + j] -= lead * b[j]

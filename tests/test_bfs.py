@@ -8,13 +8,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horogrowth import bfs, growth
 from horogrowth.bfs import (
     SphereCounts,
+    _enumeration,
     _moves,
     ball,
     bfs_spheres,
@@ -163,6 +167,64 @@ def test_ball_is_in_breadth_first_order():
         assert min(near) == (d - 1 if d else 1)
 
 
+@pytest.fixture
+def fresh_enumerations():
+    """Start from unenumerated graphs, and leave none half grown."""
+    _enumeration.cache_clear()
+    yield
+    _enumeration.cache_clear()
+
+
+def _hung(signum, frame):
+    raise TimeoutError("the enumeration is still growing")
+
+
+def test_budget_overrun_on_a_fresh_enumeration(fresh_enumerations, monkeypatch):
+    monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
+    # an enumeration that regrows the discarded sphere would never return
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError):
+            ball(2, 8)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1
+    # the overrunning sphere is discarded, leaving whole spheres only
+    kept = _enumeration(2)
+    assert kept.ends[-1] == len(kept.dist) < 1024 * 1024 // 240
+    monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
+    grown = list(ball(2, 8).items())
+    assert len(grown) == 46105
+    _enumeration.cache_clear()
+    assert list(ball(2, 8).items()) == grown
+
+
+def test_smaller_balls_survive_growth(fresh_enumerations):
+    small = ball(2, 4)
+    before = list(small.items())
+    assert len(ball(2, 8)) == 46105
+    assert list(small.items()) == before == list(ball(2, 4).items())
+    assert len(small) == len(before) == 1 + 6 + 26 + 98 + 334
+    far = next(g for g, d in ball(2, 8).items() if d == 5)
+    assert small.get(far) is None and far not in small
+    assert list(small.values()) == [d for _, d in before]
+
+
+def test_spheres_need_no_closed_form(fresh_enumerations, monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("the oracle consulted a closed form")
+
+    for module in (bfs, growth):
+        monkeypatch.setattr(module, "full_series", closed_form, raising=False)
+        monkeypatch.setattr(module, "series_prefix", closed_form, raising=False)
+    counts = bfs_spheres(2, 5)
+    assert list(counts.total) == [1, 6, 26, 98, 334, 1074]
+    assert list(counts.horocyclic) == [1, 4, 8, 12, 24, 52]
+
+
 # ---------------------------------------------------------------------------
 # distances
 
@@ -183,6 +245,11 @@ def test_element_distance_matches_word_length_rank_two():
     for a in range(-4, 5):
         for b in range(-4, 5):
             assert element_distance(2, (a, b)) == word_length(2, (a, b))
+
+
+def test_element_distance_matches_word_length_rank_three():
+    for v in itertools.product(range(-3, 4), repeat=3):
+        assert element_distance(3, v) == word_length(3, v)
 
 
 def test_element_distance_budget():

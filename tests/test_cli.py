@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -296,3 +298,36 @@ def test_module_entry_subprocess():
     proc = subprocess.run(cmd, capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "ttabbTBTab (length 10)\n"
+
+
+def test_budget_overrun_exits_3_in_a_fresh_process():
+    cmd = [
+        sys.executable, "-m", "horogrowth",
+        "verify", "--suite", "bfs", "--m", "2", "--radius", "8",
+    ]
+    env = {**SRC_ENV, "HOROGROWTH_BUDGET_MB": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget error: the rank-2 ball of radius 8")
+
+
+def _one_gigabyte_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("word", ["a^100000000", "t^10000a", "a^" + "9" * 5000])
+def test_overlong_words_exit_3(word):
+    # in a child capped at 1 GB, so a word that is expanded cannot take the host
+    cmd = [sys.executable, "-m", "horogrowth", "eval", "--m", "1", "--word", word]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        cmd, capture_output=True, text=True, env=SRC_ENV, timeout=60,
+        preexec_fn=_one_gigabyte_address_space,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "budget error: word is longer than the cap of 8000 tokens\n"

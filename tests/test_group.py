@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horogrowth.errors import BudgetError
 from horogrowth.group import (
+    WORD_LENGTH_CAP,
     GroupElement,
     TriadicRational,
     Word,
@@ -154,6 +156,17 @@ def test_parse_word_indexed_generators():
     assert parse_word(format_word(w), 4) == w
     # bare digits are indices, not powers
     assert parse_word("a2", 2).tokens == ("a2",)
+
+
+def test_parse_word_length_cap():
+    assert WORD_LENGTH_CAP == 8000
+    assert parse_word("a^8000", 1).length == 8000
+    assert parse_word("t^4000a^-4000", 1).length == 8000
+    for text in ("a^8001", "t^4000a^4001", "a" * 8001, "a^-" + "9" * 5000):
+        with pytest.raises(BudgetError):
+            parse_word(text, 1)
+    # leading zeros do not make a small count long
+    assert parse_word("a^" + "0" * 50 + "3", 1).tokens == ("a1",) * 3
 
 
 def test_parse_word_errors():

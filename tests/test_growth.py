@@ -252,6 +252,13 @@ def test_subgroup_series_digests(m):
     assert rf_digest(subgroup_series(m)) == SUBGROUP_DIGESTS[m]
 
 
+def test_positive_series_digest_at_the_rank_cap():
+    # recorded from the pseudo-remainder that scaled at every step
+    assert rf_digest(positive_series(30)) == (
+        "7003689f748ff2eb08be097d37d0eed9e15905cef2cd4db13ae4a2cf982b10aa"
+    )
+
+
 def test_subgroup_series_rejects_bad_rank():
     with pytest.raises(ValueError):
         subgroup_series(0)

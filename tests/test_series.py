@@ -108,6 +108,17 @@ def test_poly_gcd_hand_values():
     assert poly_gcd(poly(1, 2), poly(1, -1)).degree == 0
 
 
+def test_poly_gcd_divisor_led_by_minus_a_power_of_two():
+    # D_2 = 1 - x^2 (1 + 2x)^2 leads with -4, so the remainder sequence
+    # mixes exact and scaled pseudo-division steps
+    d2 = poly(1, 0, -1, -4, -4)
+    assert poly_gcd(poly(1, 1) * d2, d2) == -d2
+    assert poly_gcd(poly(3, 1, 5) * d2 * d2, poly(1, -3) * d2) == -d2
+    assert poly_gcd(poly(1, 1) * d2 * d2, poly(2, 0, 5) * d2) == -d2
+    assert poly_gcd(poly(6, 0, 0, 0, 0, 0, 2) * d2, poly(4, 2) * d2) == -2 * d2
+    assert poly_gcd(poly(1, 1, 1, 1, 1, 1, 1), d2).degree == 0
+
+
 @given(polys, polys, polys)
 def test_poly_ring_laws(a, b, c):
     assert a + b == b + a
