@@ -5,7 +5,7 @@ Subcommands:
   spell   geodesic word for a lattice vector
   eval    evaluate a word to its normal form
   verify  run a verification suite and report pass/fail with witnesses
-  census  coset census table with the fitted level-series numerators
+  census  coset census table with the certified level-series numerators
 
 Exit codes: 0 success, 2 verification failure, 3 budget or parse error.
 JSON output is canonical: sorted keys, no whitespace, one line.
@@ -271,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("census", help="coset census with fitted level series")
+    p = sub.add_parser("census", help="coset census with certified level series")
     p.add_argument("--m", type=int, required=True, help="lattice rank")
     p.add_argument("--rmax", type=int, default=12, help="census horizon, default 12")
     add_output(p)

@@ -7,5 +7,5 @@ class BudgetError(RuntimeError):
 
 
 class FitError(RuntimeError):
-    """Raised when census data cannot be matched by a numerator of the
-    permitted degree, or when a fitted series fails its certification."""
+    """Raised when a closed-form level series fails its certification
+    against the stem table of the coset census."""

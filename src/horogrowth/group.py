@@ -217,9 +217,12 @@ def parse_word(text: str, m: int) -> Word:
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            idx = int(text[i + 1 : j])
+            # an index with more digits than m is out of range unconverted
+            digits = text[i + 1 : j].lstrip("0") or "0"
+            idx = int(digits) if len(digits) <= len(str(m)) else 0
             if not 1 <= idx <= m:
-                raise ValueError(f"generator index {idx} out of range for m={m}")
+                shown = digits if len(digits) <= 20 else digits[:20] + "..."
+                raise ValueError(f"generator index {shown} out of range for m={m}")
             base, sign = f"a{idx}", (1 if ch == "a" else -1)
             i = j
         elif ch.lower() in _ALIASES and m <= 3:
@@ -232,21 +235,21 @@ def parse_word(text: str, m: int) -> Word:
             raise ValueError(f"unexpected character {text[i]!r} in word")
         count = 1
         if i < n and text[i] == "^":
-            i += 1
+            negative = text[i + 1 : i + 2] == "-"
+            i += 1 + negative
             j = i
-            if j < n and text[j] == "-":
-                j += 1
             if j >= n or not text[j].isdigit():
                 raise ValueError("'^' must be followed by an integer")
             while j < n and text[j].isdigit():
                 j += 1
-            if len(text[i:j].lstrip("-0")) > len(str(WORD_LENGTH_CAP)):
+            digits = text[i:j].lstrip("0")
+            if len(digits) > len(str(WORD_LENGTH_CAP)):
                 count = WORD_LENGTH_CAP + 1  # over the cap: never converted
             else:
-                count = int(text[i:j])
+                count = int(digits or "0")
+            if negative:
+                sign = -sign
             i = j
-        if count < 0:
-            sign, count = -sign, -count
         length += count
         if length > WORD_LENGTH_CAP:
             raise BudgetError(

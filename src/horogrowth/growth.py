@@ -25,7 +25,7 @@ from .series import (
     series_prefix,
 )
 
-# public census horizon cap; deeper tables exist only behind the fitted series
+# public census horizon cap; deeper tables serve only the level-series check
 CENSUS_RMAX = 24
 # largest rank with closed forms: a cold full_series(30) takes about 2 s on
 # a 2-vCPU host, and each doubling of the rank costs about 16x
@@ -169,31 +169,26 @@ class CosetCensus:
 
 @lru_cache(maxsize=None)
 def _stem_columns(m: int, rmax: int) -> dict[int, tuple[int, ...]]:
-    """chi table from the stem normal form: T^n then j nonempty-or-lone-t
-    blocks, the first block nonempty whenever n >= 1."""
-    block_cost = [0] * (m + 2)
-    for letters in range(m + 1):
-        block_cost[letters + 1] = math.comb(m, letters) * 2**letters
-    table = {level: [0] * (rmax + 1) for level in range(0, -(rmax + 1), -1)}
-    for n in range(rmax + 1):
-        table[-max(0, n)][n] += 1
-        dist = [0] * (rmax + 1)
-        for cost, ways in enumerate(block_cost):
-            if ways and not (n >= 1 and cost == 1) and n + cost <= rmax:
-                dist[n + cost] += ways
-        j = 1
-        while any(dist):
-            col = table[-max(0, n - j)]
-            for r, cnt in enumerate(dist):
-                col[r] += cnt
-            nxt = [0] * (rmax + 1)
-            for r, cnt in enumerate(dist):
-                if cnt:
-                    for cost, ways in enumerate(block_cost):
-                        if ways and r + cost <= rmax:
-                            nxt[r + cost] += cnt * ways
-            dist = nxt
-            j += 1
+    """chi table from the stem normal form T^n (w_1 t)...(w_j t) at level
+    -max(0, n - j): a block w t with |w| = l costs l + 1 in C(m,l) 2^l
+    ways, and w_1 is nonempty whenever n >= 1.
+
+    One pass over d = n - j, from rmax - 1 down to -rmax, carries the
+    length polynomial of the stems with j >= 1 at that d, cut at x^rmax.
+    Each step multiplies it by x W, which adds one block to every stem of
+    the step before, and adds T^(d+1) with its first block: x^(d+1) (x W - x)
+    for d + 1 >= 1, and x W for the empty T^0."""
+    xw = suffix_poly(m).shift(1)
+    table = {-n: [0] * n + [1] + [0] * (rmax - n) for n in range(rmax + 1)}
+    stems = ZERO
+    for d in range(rmax - 1, -rmax - 1, -1):
+        stems = stems * xw
+        if d >= -1:
+            stems = stems + (xw - X if d >= 0 else xw).shift(d + 1)
+        stems = IntPolynomial(stems.coeffs[: rmax + 1])
+        col = table[-max(0, d)]
+        for r, cnt in enumerate(stems.coeffs):
+            col[r] += cnt
     return {level: tuple(col) for level, col in table.items()}
 
 
@@ -210,7 +205,7 @@ def coset_census(m: int, rmax: int) -> CosetCensus:
 
 
 # ---------------------------------------------------------------------------
-# level series fitted against the census
+# level series in closed form, certified against the census
 
 
 @dataclass(frozen=True)
@@ -224,49 +219,36 @@ class LevelSeries:
     certified_to: int
 
 
-def _column_times(column, p: IntPolynomial) -> list[int]:
-    pc = p.coeffs
-    return [
-        sum(pc[j] * column[k - j] for j in range(min(k, len(pc) - 1) + 1))
-        for k in range(len(column))
-    ]
-
-
 @lru_cache(maxsize=None)
 def level_series(m: int) -> LevelSeries:
-    """Fit numerators for the level -1 and level 0 coset series and certify
-    both expansions against the census through a horizon that exceeds twice
-    the permitted numerator degree."""
+    """Coset series at levels -1 and 0, summed from the stem normal form
+    (see _stem_columns) and certified against its table.
+
+    The blocks w t together count x W, with W = (1+2x)^m, and the first
+    block after T^n with n >= 1 counts x (W - 1), since it is nonempty.
+    Level -k with k >= 1 therefore counts
+
+      x^k (1 + x^2 (W-1)/(1 - x^2 W)) = x^k (1 - x^2)/(1 - x^2 W),
+
+    and level 0 counts (1 - x^2)/((1 - x W)(1 - x^2 W)).  So at every rank
+    p_hat = (1 - x^2 W) X_-1 = x - x^3 and
+    q_hat = (1 - x W) X_0 - x W X_-1 = 1 - x^2."""
     _check_rank(m)
+    # stays 2(m + 4) + 6 because certified_to reports it in the census
+    # output and the census suite; it is well past 2m + 5, the degrees of
+    # the numerator and denominator of X_0 added
     horizon = 2 * (m + 4) + 6
     columns = _stem_columns(m, horizon)
-    col1 = columns[-1]
-    col0 = columns[0]
-    d2 = _block_denominator(m)
-    d1 = ONE - suffix_poly(m).shift(1)
+    p_hat = poly(0, 1, 0, -1)
+    q_hat = poly(1, 0, -1)
+    x_minus1 = rf_normalize(p_hat, _block_denominator(m))
     xw = suffix_poly(m).shift(1)
-
-    p_full = _column_times(col1, d2)
-    for k in range(m + 5, horizon + 1):
-        if p_full[k]:
-            raise FitError(f"level -1 census leaves a residual at x^{k}")
-    p_hat = IntPolynomial(tuple(p_full[: m + 5]))
-
-    q_full = [
-        a - b
-        for a, b in zip(_column_times(col0, d1), _column_times(col1, xw))
-    ]
-    for k in range(m + 2, horizon + 1):
-        if q_full[k]:
-            raise FitError(f"level 0 census leaves a residual at x^{k}")
-    q_hat = IntPolynomial(tuple(q_full[: m + 2]))
-
-    x_minus1 = rf_normalize(p_hat, d2)
-    x_zero = rf_normalize(xw * p_hat + q_hat * d2, d1 * d2)
-    if list(series_prefix(x_minus1, horizon)) != list(col1):
-        raise FitError("level -1 series fails certification against the census")
-    if list(series_prefix(x_zero, horizon)) != list(col0):
-        raise FitError("level 0 series fails certification against the census")
+    x_zero = rf_normalize(q_hat, (ONE - xw) * _block_denominator(m))
+    for level, f in ((-1, x_minus1), (0, x_zero)):
+        if list(series_prefix(f, horizon)) != list(columns[level]):
+            raise FitError(
+                f"level {level} series fails certification against the census"
+            )
     return LevelSeries(x_minus1, x_zero, p_hat, q_hat, horizon)
 
 

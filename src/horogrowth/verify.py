@@ -9,7 +9,7 @@ Suites:
   appendix  closed forms and series rows against the published tables
   bfs       closed forms against brute-force Cayley-graph enumeration
   language  geodesic spelling: round trip, minimality, level tiling
-  census    coset census: stem DP vs enumeration, level-series fits, the
+  census    coset census: stem DP vs enumeration, certified level series, the
             full series against its product form
   gfsa      automaton growth against closed forms and word enumeration
 """
@@ -242,6 +242,9 @@ def verify_language(m: int | None = None) -> dict:
     for mm in ms:
         if mm not in (1, 2):
             raise ValueError("language checks cover ranks 1 and 2")
+        # fetched first, so a budget that refuses the ball refuses at once
+        r = _LANG_BALL[mm]
+        distances = ball(mm, r)
         upper = level_box(_LANG_LEVELS)[1]
         if mm == 1:
             vectors = [(v,) for v in range(1, upper + 1)]
@@ -270,9 +273,8 @@ def verify_language(m: int | None = None) -> dict:
                 bad,
             )
         )
-        r = _LANG_BALL[mm]
         bad = None
-        for g, dist in ball(mm, r).items():
+        for g, dist in distances.items():
             if is_horocyclic(g) and word_length(mm, g.nums) != dist:
                 bad = {
                     "vector": list(g.nums),
@@ -371,7 +373,7 @@ def verify_census(m: int | None = None, radius: int | None = None) -> dict:
                     },
                 )
             )
-            # full_series needs the level series, so only a fitted rank has one
+            # full_series needs the level series, so only a certified rank has one
             w, assembled = suffix_poly(mm), full_series(mm)
             product = rf_mul(
                 subgroup_series(mm),

@@ -3,6 +3,8 @@ determinism, and the exit-code contract (0 ok, 2 verification failure,
 3 budget or parse error)."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -12,6 +14,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horogrowth.cli as cli
 from horogrowth.cli import main
@@ -331,3 +335,30 @@ def test_overlong_words_exit_3(word):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "budget error: word is longer than the cap of 8000 tokens\n"
+
+
+# command-line text: short runs of word and vector characters, and now and
+# then a run of 5000 digits after a letter, a '^' or a comma
+_CLI_PIECE = st.text(alphabet="tTaAbBcCdq0123456789^-, ", max_size=10)
+_DIGIT_RUN = st.tuples(
+    st.sampled_from(["", "a", "A", "b", "a1^", "^", "^-", ","]),
+    st.sampled_from("0123456789"),
+).map(lambda p: p[0] + p[1] * 5000)
+_CLI_TEXT = st.lists(
+    st.integers(0, 4).flatmap(lambda k: _DIGIT_RUN if k == 0 else _CLI_PIECE),
+    max_size=4,
+).map("".join)
+
+
+@given(st.sampled_from(["eval", "spell"]), st.integers(1, 4), _CLI_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_word_and_vector_text_exit_0_or_3(command, m, text):
+    flag = "--word" if command == "eval" else "--vector"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main([command, "--m", str(m), flag, text])
+        except SystemExit as exc:  # argparse rejects text that looks like a flag
+            rc = exc.code
+    assert rc in (0, 3)
+    assert "Exceeds the limit" not in out.getvalue() + err.getvalue()

@@ -169,6 +169,18 @@ def test_parse_word_length_cap():
     assert parse_word("a^" + "0" * 50 + "3", 1).tokens == ("a1",) * 3
 
 
+def test_parse_word_long_digit_runs():
+    # int() sees only short, zero-stripped digits: its 4,300-digit limit
+    # would raise a message that names no index
+    with pytest.raises(ValueError, match=r"generator index 1{20}\.\.\. out of range"):
+        parse_word("a" + "1" * 5000, 1)
+    assert parse_word("a1^" + "0" * 5000 + "5", 1).tokens == ("a1",) * 5
+    assert parse_word("a1^-" + "0" * 5000 + "5", 1).tokens == ("A1",) * 5
+    assert parse_word("a0001^0005", 1).tokens == ("a1",) * 5
+    with pytest.raises(ValueError, match="generator index 12 out of range"):
+        parse_word("a0012", 3)
+
+
 def test_parse_word_errors():
     with pytest.raises(ValueError):
         parse_word("q", 1)

@@ -237,9 +237,13 @@ SUBGROUP_DIGESTS = {
 }
 
 
-def rf_digest(f) -> str:
-    text = json.dumps(rf_to_json(f), sort_keys=True, separators=(",", ":"))
+def json_digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def rf_digest(f) -> str:
+    return json_digest(rf_to_json(f))
 
 
 @pytest.mark.parametrize("m", sorted(POSITIVE_DIGESTS))
@@ -333,13 +337,27 @@ def test_coset_census_structure():
     assert census.chi(-9, 7) == 0
 
 
-@pytest.mark.parametrize("m,rmax", [(1, 10), (2, 8)])
+@pytest.mark.parametrize("m,rmax", [(1, 10), (2, 8), (3, 12), (6, 24), (12, 24)])
 def test_coset_census_matches_brute_enumeration(m, rmax):
     census = coset_census(m, rmax)
     table = brute_stem_table(m, rmax)
     for level in range(0, -(rmax + 1), -1):
         for r in range(rmax + 1):
             assert census.chi(level, r) == table.get((level, r), 0), (level, r)
+
+
+# sha256 of the canonical JSON of coset_census(m, 24), recorded from the
+# per-depth stem loop that the one-pass table replaced
+CENSUS_DIGESTS = {
+    3: "36c6e14475465a7810976659802bada789957c930b6b8306d48bbb3a302b53ba",
+    12: "c04bccc58c1be79e431cf0ebd2212ef0b91b16704560e8cd6bbfda885dbeea4c",
+    30: "4906d4efa94b1365cbbcc112c5fe81be3ee6df1239d873023c4482402705131b",
+}
+
+
+@pytest.mark.parametrize("m", sorted(CENSUS_DIGESTS))
+def test_coset_census_digests(m):
+    assert json_digest(coset_census(m, 24).to_json()) == CENSUS_DIGESTS[m]
 
 
 def test_coset_census_horizon_cap():
@@ -353,7 +371,7 @@ def test_coset_census_horizon_cap():
 # level series fits
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 12, 30])
 def test_level_series_fitted_numerators(m):
     ls = level_series(m)
     assert ls.p_hat == poly(0, 1, 0, -1)
@@ -361,6 +379,21 @@ def test_level_series_fitted_numerators(m):
     assert ls.certified_to == 2 * (m + 4) + 6
     assert ls.X_minus1 == rf_normalize(poly(0, 1, 0, -1), one_minus_x2w(m))
     assert ls.X_0 == rf_normalize(poly(1, 0, -1), one_minus_xw(m) * one_minus_x2w(m))
+
+
+def test_level_series_digest_at_the_rank_cap():
+    # recorded from the numerator fit that the closed forms replaced
+    ls = level_series(RANK_CAP)
+    obj = {
+        "X_minus1": rf_to_json(ls.X_minus1),
+        "X_0": rf_to_json(ls.X_0),
+        "p_hat": [str(c) for c in ls.p_hat.coeffs],
+        "q_hat": [str(c) for c in ls.q_hat.coeffs],
+        "certified_to": ls.certified_to,
+    }
+    assert json_digest(obj) == (
+        "ce9b8fab2851fde7615c76c6c09558350a13c479d99e9383eee9637c81cc6cff"
+    )
 
 
 def test_level_series_prefix_goldens():
@@ -383,7 +416,7 @@ def test_level_series_functional_relation(m):
     )
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_level_series_matches_census_through_horizon(m):
     ls = level_series(m)
     horizon = ls.certified_to

@@ -8,7 +8,7 @@ import json
 import pytest
 
 import horogrowth.verify as verify
-from horogrowth.errors import FitError
+from horogrowth.errors import BudgetError, FitError
 from horogrowth.series import ONE, poly, poly_str, rf_normalize
 from horogrowth.verify import SUITES, run_suite
 
@@ -128,6 +128,16 @@ def test_census_reports_fitted_numerators():
     assert fit["data"]["p_hat"] == poly_str(poly(0, 1, 0, -1))
     assert fit["data"]["q_hat"] == poly_str(poly(1, 0, -1))
     assert fit["data"]["certified_to"] >= 2 * (1 + 4) + 6
+
+
+def test_language_fetches_its_ball_before_spelling(monkeypatch):
+    def no_spelling(*args):
+        raise AssertionError("spelled before the ball was fetched")
+
+    monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
+    monkeypatch.setattr(verify, "spell", no_spelling)
+    with pytest.raises(BudgetError):
+        verify.verify_language(2)
 
 
 def test_language_rejects_large_rank():
