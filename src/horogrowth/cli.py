@@ -65,7 +65,8 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"--vector expects comma-separated integers, got {text!r}")
+        shown = text if len(text) <= 20 else text[:20] + "..."
+        raise ValueError(f"--vector expects comma-separated integers, got {shown!r}")
 
 
 # ---------------------------------------------------------------------------

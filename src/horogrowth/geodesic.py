@@ -126,12 +126,6 @@ def word_length(m: int, vec: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 # word families
 
-def u_word(m: int, indices: tuple[int, ...] | None = None) -> Word:
-    """The word a_1 a_2 .. over the given 1-based indices (all of 1..m)."""
-    idx = indices if indices is not None else tuple(range(1, m + 1))
-    return Word(m, tuple(f"a{i}" for i in idx))
-
-
 def suffix_words(m: int, indices: tuple[int, ...] | None = None) -> list[Word]:
     """All 3^k sign words over the index set: one token a_i or A_i per +-1."""
     idx = indices if indices is not None else tuple(range(1, m + 1))

@@ -172,30 +172,3 @@ def build_prefix_suffix_machine(m: int) -> GrowthAutomaton:
         raise ValueError("m must be positive")
     label = (poly(1, 2) ** m).shift(2)
     return GrowthAutomaton(1, 0, frozenset({0}), ((0, 0, label),))
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-def machine_to_json(machine: GrowthAutomaton) -> dict:
-    return {
-        "states": machine.n_states,
-        "start": machine.start,
-        "accepts": sorted(machine.accepts),
-        "edges": [
-            {"from": src, "to": dst, "label": list(label.coeffs)}
-            for src, dst, label in sorted(
-                machine.edges, key=lambda e: (e[0], e[1])
-            )
-        ],
-    }
-
-
-def machine_from_json(obj: dict) -> GrowthAutomaton:
-    edges = tuple(
-        (e["from"], e["to"], IntPolynomial(tuple(e["label"])))
-        for e in obj["edges"]
-    )
-    return GrowthAutomaton(
-        obj["states"], obj["start"], frozenset(obj["accepts"]), edges
-    )

@@ -146,19 +146,6 @@ def coset_key(g: GroupElement):
     return (g.tee, k, tuple(n % q for n in g.nums))
 
 
-def t_element(m: int, sign: int) -> GroupElement:
-    return GroupElement(1 if sign > 0 else -1, 0, (0,) * m)
-
-
-def gen_element(m: int, index: int, sign: int) -> GroupElement:
-    """The lattice generator a_index (1-based) or its inverse."""
-    if not 1 <= index <= m:
-        raise ValueError(f"generator index {index} out of range for m={m}")
-    nums = [0] * m
-    nums[index - 1] = 1 if sign > 0 else -1
-    return GroupElement(0, 0, tuple(nums))
-
-
 # ---------------------------------------------------------------------------
 # words
 
@@ -347,9 +334,3 @@ def element_to_json(g: GroupElement) -> dict:
         "coords": [{"num": str(c.num), "exp3": c.exp} for c in g.coords],
         "tee": g.tee,
     }
-
-
-def element_from_json(obj: dict) -> GroupElement:
-    coords = [(int(c["num"]), int(c["exp3"])) for c in obj["coords"]]
-    exp = max([0] + [e for _, e in coords])
-    return _canonical(int(obj["tee"]), exp, [n * 3 ** (exp - e) for n, e in coords])

@@ -19,6 +19,7 @@ from .series import (
     RationalFunction,
     X,
     poly,
+    rf_add,
     rf_mul,
     rf_normalize,
     rf_reduce,
@@ -277,8 +278,9 @@ def full_series(m: int) -> RationalFunction:
     s = subgroup_series(m)
     ls = level_series(m)
     w = suffix_poly(m)
-    return rf_mul(s, ls.X_0) + rf_mul(
-        rf_mul(s, ls.X_minus1), rf_normalize(w, ONE - w.shift(1))
+    return rf_add(
+        rf_mul(s, ls.X_0),
+        rf_mul(rf_mul(s, ls.X_minus1), rf_normalize(w, ONE - w.shift(1))),
     )
 
 

@@ -106,12 +106,6 @@ class IntPolynomial:
             return self
         return IntPolynomial(tuple(v // c for v in self.coeffs))
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         return poly_str(self)
 
@@ -221,33 +215,8 @@ class RationalFunction:
         if low < 0:
             raise ValueError("denominator not sign-normalized")
 
-    def __add__(self, other):
-        return rf_add(self, other)
-
-    def __sub__(self, other):
-        return rf_sub(self, other)
-
-    def __mul__(self, other):
-        return rf_mul(self, other)
-
-    def __truediv__(self, other):
-        return rf_div(self, other)
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def prefix(self, order: int) -> "SeriesPrefix":
-        return series_prefix(self, order)
-
     def __str__(self) -> str:
         return rf_str(self)
-
-    def to_json(self) -> dict:
-        return rf_to_json(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RationalFunction":
-        return rf_from_json(obj)
 
 
 def rf_normalize(num, den) -> RationalFunction:
@@ -317,25 +286,16 @@ class SeriesPrefix:
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SeriesPrefix":
-        return cls(tuple(int(c) for c in obj["coeffs"]))
 
-
-def series_prefix(f, order: int) -> SeriesPrefix:
+def series_prefix(f: RationalFunction, order: int) -> SeriesPrefix:
     """Coefficients of x^0..x^order of f's power series at 0.
 
-    f may be a RationalFunction or an IntPolynomial.  Raises ValueError if
-    the denominator vanishes at 0, if a coefficient is not an integer, or
-    if order is negative.
+    Raises ValueError if the denominator vanishes at 0, if a coefficient
+    is not an integer, or if order is negative.
     """
     if order < 0:
         raise ValueError("negative series order")
-    if isinstance(f, IntPolynomial):
-        num, den = f, ONE
-    else:
-        num, den = f.num, f.den
-    nc, dc = num.coeffs, den.coeffs
+    nc, dc = f.num.coeffs, f.den.coeffs
     if not dc or dc[0] == 0:
         raise ValueError("series undefined at x = 0")
     d0 = dc[0]
@@ -402,9 +362,3 @@ def rf_to_json(f: RationalFunction) -> dict:
         "num": [str(c) for c in f.num.coeffs],
         "den": [str(c) for c in f.den.coeffs],
     }
-
-
-def rf_from_json(obj: dict) -> RationalFunction:
-    num = IntPolynomial(tuple(int(c) for c in obj["num"]))
-    den = IntPolynomial(tuple(int(c) for c in obj["den"]))
-    return rf_normalize(num, den)

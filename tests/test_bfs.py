@@ -32,12 +32,10 @@ from horogrowth.group import (
     GroupElement,
     Word,
     eval_word,
-    gen_element,
     is_horocyclic,
     multiply,
     parse_word,
     step,
-    t_element,
 )
 from horogrowth.growth import coset_census, subgroup_series
 from horogrowth.series import poly, rf_mul, rf_normalize, series_prefix
@@ -70,7 +68,15 @@ def brute_spheres(m: int, max_len: int):
 # generator steps
 
 
-TOKENS2 = ["a1", "A1", "a2", "A2", "t", "T"]
+GENS2 = {
+    "a1": GroupElement(0, 0, (1, 0)),
+    "A1": GroupElement(0, 0, (-1, 0)),
+    "a2": GroupElement(0, 0, (0, 1)),
+    "A2": GroupElement(0, 0, (0, -1)),
+    "t": GroupElement(1, 0, (0, 0)),
+    "T": GroupElement(-1, 0, (0, 0)),
+}
+TOKENS2 = list(GENS2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -79,10 +85,8 @@ def test_state_stepping_matches_group_multiplication(tokens):
     moves = {tok: mv for tok, mv in zip(TOKENS2, _moves(2))}
     stepped = multiplied = GroupElement.identity(2)
     for tok in tokens:
-        index, sign = moves[tok]
-        gen = t_element(2, sign) if index < 0 else gen_element(2, index + 1, sign)
-        stepped = step(stepped, index, sign)
-        multiplied = multiply(multiplied, gen)
+        stepped = step(stepped, *moves[tok])
+        multiplied = multiply(multiplied, GENS2[tok])
         assert stepped == multiplied
     assert stepped == eval_word(Word(2, tuple(tokens)))
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import horogrowth.cli as cli
 from horogrowth.cli import main
+from horogrowth.verify import SUITES
 
 
 # the checkout's package for `python -m horogrowth` in a child process
@@ -273,6 +274,20 @@ def test_vector_parse_error_exit(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 5000, ",".join(["1"] * 2499 + ["x"])],
+    ids=["5000-digit entry", "2500 entries, last bad"],
+)
+def test_long_vector_error_is_cut(capsys, text):
+    rc, out, err = run_main(capsys, "spell", "--m", "1", "--vector", text)
+    assert rc == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert text[:20] + "..." in err
+
+
 def test_vector_rank_mismatch_exit(capsys):
     rc, _, _ = run_main(capsys, "spell", "--m", "2", "--vector", "1,2,3")
     assert rc == 3
@@ -350,15 +365,77 @@ _CLI_TEXT = st.lists(
 ).map("".join)
 
 
+def _main_in_process(argv):
+    """Exit code and printed text of main(argv), argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            rc = exc.code
+    return rc, out.getvalue() + err.getvalue()
+
+
 @given(st.sampled_from(["eval", "spell"]), st.integers(1, 4), _CLI_TEXT)
 @settings(max_examples=200, deadline=None)
 def test_word_and_vector_text_exit_0_or_3(command, m, text):
     flag = "--word" if command == "eval" else "--vector"
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main([command, "--m", str(m), flag, text])
-        except SystemExit as exc:  # argparse rejects text that looks like a flag
-            rc = exc.code
+    rc, printed = _main_in_process([command, "--m", str(m), flag, text])
     assert rc in (0, 3)
-    assert "Exceeds the limit" not in out.getvalue() + err.getvalue()
+    assert "Exceeds the limit" not in printed
+
+
+def _flag(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+def _option(flag, values):
+    """Nothing, or the flag with a drawn value."""
+    return st.just([]) | _flag(flag, values)
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+# integer options: values that run in well under 0.5 s each, and values past
+# each cap, which are refused before any work
+_RANK = st.integers(-1, 16) | st.integers(31, 10**6)
+_TERMS = st.integers(-1, 80) | st.integers(cli.TERMS_CAP + 1, 10**9)
+# stem depth and census horizon, both capped at 24
+_DEPTH = st.integers(-1, 26) | st.integers(27, 10**6)
+_RADIUS = st.integers(-1, 6) | st.integers(13, 10**6)
+_OUTPUT = _option("--output", st.sampled_from(["plain", "json", "latex"]))
+
+_SERIES_ARGV = _argv(
+    st.just(["series"]),
+    _flag("--kind", st.sampled_from([*cli._SERIES_KINDS, "Q"])),
+    _flag("--m", _RANK),
+    _option("--terms", _TERMS),
+    _option("--n", _DEPTH),
+    st.sampled_from([[], ["--rational"]]),
+    _OUTPUT,
+)
+_CENSUS_ARGV = _argv(
+    st.just(["census"]), _flag("--m", _RANK), _option("--rmax", _DEPTH), _OUTPUT
+)
+
+
+def _verify_argv(suite):
+    # the language suite spells a rank-2 box for about 1.7 s, and its default
+    # covers rank 2, so it always gets another rank
+    if suite == "language":
+        rank = _flag("--m", st.sampled_from([-1, 0, 1, 3, 31]))
+    else:
+        rank = _option("--m", _RANK)
+    return _argv(
+        st.just(["verify", "--suite", suite]), rank, _option("--radius", _RADIUS), _OUTPUT
+    )
+
+
+@given(_SERIES_ARGV | _CENSUS_ARGV | st.sampled_from(SUITES).flatmap(_verify_argv))
+@settings(max_examples=150, deadline=None)
+def test_every_subcommand_exits_0_2_or_3(argv):
+    rc, printed = _main_in_process(argv)
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in printed

@@ -22,7 +22,6 @@ from horogrowth.geodesic import (
     spell,
     suffix_words,
     two_led_digits,
-    u_word,
     word_length,
 )
 from horogrowth.group import GroupElement, eval_word, max_height, parse_word
@@ -151,9 +150,7 @@ def test_spell_evaluates_to_target(vec):
 # ---------------------------------------------------------------------------
 # word families
 
-def test_u_word_and_suffix_words():
-    assert str(u_word(2)) == "ab"
-    assert str(u_word(3)) == "abc"
+def test_suffix_words():
     ws = {str(w) for w in suffix_words(1)}
     assert ws == {"", "a", "A"}
     ws2 = {str(w) for w in suffix_words(2)}

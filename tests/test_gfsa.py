@@ -18,8 +18,6 @@ from horogrowth.gfsa import (
     build_quadrant_fsa,
     build_quadrant_gfsa,
     count_words_by_length,
-    machine_from_json,
-    machine_to_json,
     quadrant_expected_growth,
     solve_linear_system,
 )
@@ -80,15 +78,6 @@ def test_machine_validation():
         GrowthAutomaton(2, 0, frozenset({7}), ((0, 1, lab),))  # bad accept
     with pytest.raises(ValueError):
         GrowthAutomaton(2, 0, frozenset({1}), ((0, 1, lab), (0, 1, lab)))  # duplicate
-
-
-def test_machine_json_roundtrip():
-    m = build_quadrant_gfsa()
-    obj = machine_to_json(m)
-    assert obj["states"] == 3
-    assert obj["start"] == 0
-    assert {tuple(e["label"]) for e in obj["edges"]} == {(0, 1), (0, 0, 1)}
-    assert machine_from_json(obj) == m
 
 
 def test_solver_accepts_rational_entries():

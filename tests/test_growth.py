@@ -38,6 +38,7 @@ from horogrowth.series import (
     poly,
     rf_mul,
     rf_normalize,
+    rf_sub,
     rf_to_json,
     series_prefix,
 )
@@ -407,8 +408,9 @@ def test_level_series_functional_relation(m):
     ls = level_series(m)
     w = rf_normalize(suffix_poly(m), ONE)
     x_rf = rf_normalize(X, ONE)
-    lhs = rf_mul(ls.X_0, rf_normalize(one_minus_xw(m), ONE)) - rf_mul(
-        rf_mul(x_rf, w), ls.X_minus1
+    lhs = rf_sub(
+        rf_mul(ls.X_0, rf_normalize(one_minus_xw(m), ONE)),
+        rf_mul(rf_mul(x_rf, w), ls.X_minus1),
     )
     assert lhs == rf_normalize(ls.q_hat, ONE)
     assert rf_mul(ls.X_minus1, rf_normalize(one_minus_x2w(m), ONE)) == rf_normalize(
