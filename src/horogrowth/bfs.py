@@ -110,6 +110,8 @@ def ball(m: int, radius: int) -> Mapping[GroupElement, int]:
     """Graph distance from the identity of every element within radius,
     in breadth-first order (so distances never decrease).  The budget is
     checked on every call, against the states the ball holds."""
+    if m < 1:
+        raise ValueError("rank m must be at least 1")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius > RADIUS_CAP.get(m, -1):

@@ -1,16 +1,14 @@
 """Geodesic normal form: signed digit expansions and level languages.
 
-Every positive integer e has a balanced ternary expansion with digits in
-{-1, 0, 1} and top digit 1 at index h.  When the digit below the top is
--1, the top pair (1 at h, -1 at h-1) can be rewritten as a single 2 at
-h-1, giving the shorter "2-led" variant; it exists exactly for e in the
-bands [(3^(k+1)+1)/2, (5 3^k - 1)/2], k = h-1.
-
-A lattice vector is spelled by expanding each coordinate, letting N be
-the largest top index after preferring the 2-led form where it exists,
-and emitting t^N followed by the digit blocks per level, highest first,
-separated by single T steps.  The word length is 2N plus the sum of
-absolute digits, and the words produced this way are geodesics.
+Every integer e has a balanced ternary expansion with digits in
+{-1, 0, 1}.  A lattice vector is spelled from one rule.  Its top index N
+is the least n with max |v_i| <= (5 3^n - 1)/2.  A coordinate whose
+balanced form would reach index N+1, which happens exactly when
+2|v_i| > 3^(N+1) - 1, takes a lead digit 2 at index N; every other
+coordinate has lead 0.  Below the lead come the balanced digits of
+|v_i| - lead 3^N.  The word is t^N followed by the digit blocks per
+level, highest first, separated by single T steps; its length is 2N
+plus the sum of the leads and absolute digits, and it is a geodesic.
 
 The level language for descent depth n enumerates, through the same
 digit-matrix emitter, the canonical words for all vectors in the box
@@ -21,7 +19,6 @@ free sign vector on the coordinates already started.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .group import Word, eval_word, is_horocyclic, max_height
@@ -37,56 +34,15 @@ def balanced_digits(e: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def two_led_digits(e: int) -> tuple[int, ...] | None:
-    """The 2-led variant of e >= 1 (top digit 2), or None when it does not exist."""
-    bt = balanced_digits(e)
-    h = len(bt) - 1
-    if h < 1 or bt[h - 1] != -1:
-        return None
-    rest = balanced_digits(e - 2 * 3 ** (h - 1))
-    row = list(rest) + [0] * (h - 1 - len(rest))
-    row.append(2)
-    return tuple(row)
-
-
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Per-coordinate digit rows, each of length top+1, highest index top."""
-
-    top: int
-    rows: tuple[tuple[int, ...], ...]
-
-
-def digit_expansion(m: int, vec: tuple[int, ...]) -> DigitExpansion:
-    """Joint expansion of a nonzero vector of nonnegative coordinates.
-
-    Coordinates whose 2-led variant exists prefer it; N is the largest
-    resulting top index; coordinates reaching N+1 in balanced form must
-    then have a 2-led row topping out at exactly N, and all others keep
-    balanced form padded to N+1 digits.
-    """
-    if len(vec) != m:
-        raise ValueError("vector length does not match m")
-    if any(v < 0 for v in vec):
-        raise ValueError("coordinates must be nonnegative")
-    if not any(vec):
-        raise ValueError("zero vector has no digit expansion")
-    bts = [balanced_digits(v) for v in vec]
-    twos = [two_led_digits(v) if v else None for v in vec]
-    tops = [
-        (len(two) - 1 if two is not None else len(bt) - 1)
-        for bt, two, v in zip(bts, twos, vec)
-        if v
-    ]
-    top = max(tops)
-    rows = []
-    for v, bt, two in zip(vec, bts, twos):
-        if v and len(bt) - 1 > top:
-            row = two
-        else:
-            row = bt
-        rows.append(tuple(row) + (0,) * (top + 1 - len(row)))
-    return DigitExpansion(top, tuple(rows))
+def _expansion(vec) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """Top index N and, per coordinate v, its lead (2 at index N, or 0)
+    and the balanced digits of |v| - lead 3^N below the lead."""
+    mags = [abs(v) for v in vec]
+    top, power, peak = 0, 1, max(mags)
+    while 2 * peak > 5 * power - 1:
+        top, power = top + 1, 3 * power
+    leads = [2 if 2 * e > 3 * power - 1 else 0 for e in mags]
+    return top, [(lead, balanced_digits(e - lead * power)) for e, lead in zip(mags, leads)]
 
 
 def _digits_to_word(m: int, top: int, rows, signs) -> Word:
@@ -109,8 +65,13 @@ def spell(m: int, vec: tuple[int, ...]) -> Word:
     if not any(vec):
         return Word(m, ())
     signs = tuple(-1 if v < 0 else 1 for v in vec)
-    exp = digit_expansion(m, tuple(abs(v) for v in vec))
-    return _digits_to_word(m, exp.top, exp.rows, signs)
+    top, coords = _expansion(vec)
+    rows = []
+    for lead, digits in coords:
+        row = list(digits) + [0] * (top + 1 - len(digits))
+        row[top] += lead
+        rows.append(row)
+    return _digits_to_word(m, top, rows, signs)
 
 
 def word_length(m: int, vec: tuple[int, ...]) -> int:
@@ -119,8 +80,8 @@ def word_length(m: int, vec: tuple[int, ...]) -> int:
         raise ValueError("vector length does not match m")
     if not any(vec):
         return 0
-    exp = digit_expansion(m, tuple(abs(v) for v in vec))
-    return 2 * exp.top + sum(abs(d) for row in exp.rows for d in row)
+    top, coords = _expansion(vec)
+    return 2 * top + sum(lead + sum(map(abs, digits)) for lead, digits in coords)
 
 
 # ---------------------------------------------------------------------------

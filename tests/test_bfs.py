@@ -146,6 +146,9 @@ def test_budget_caps():
         bfs_spheres(4, 1)
     with pytest.raises(ValueError):
         bfs_spheres(1, -1)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="rank m must be at least 1"):
+            bfs_spheres(m, 1)
     with pytest.raises(BudgetError):
         coset_distance_census(1, 10**12)
     with pytest.raises(BudgetError):
@@ -254,6 +257,19 @@ def test_element_distance_matches_word_length_rank_two():
 def test_element_distance_matches_word_length_rank_three():
     for v in itertools.product(range(-3, 4), repeat=3):
         assert element_distance(3, v) == word_length(3, v)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_element_distance_across_the_band_bounds(n):
+    # both sides of the balanced bound (3^(n+1) -+ 1)/2, where a lead 2 starts,
+    # and of the band bound (5 3^n -+ 1)/2, where the top index steps to n+1
+    for e in (
+        (3 ** (n + 1) - 1) // 2,
+        (3 ** (n + 1) + 1) // 2,
+        (5 * 3**n - 1) // 2,
+        (5 * 3**n + 1) // 2,
+    ):
+        assert element_distance(1, (e,)) == word_length(1, (e,))
 
 
 def test_element_distance_budget():

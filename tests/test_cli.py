@@ -167,6 +167,23 @@ def test_oversized_inputs_exit_3(capsys, argv):
     assert "budget error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "census", "--m", "-1"),
+        ("verify", "--suite", "census", "--m", "0"),
+        ("verify", "--suite", "bfs", "--m", "0"),
+        ("verify", "--suite", "bfs", "--m", "-1"),
+    ],
+)
+def test_nonpositive_rank_is_a_bad_input(capsys, argv):
+    rc, out, err = run_main(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: rank m must be at least 1")
+    assert "budget error" not in err
+
+
 def test_appendix_rank_outside_the_tables_exits_3(capsys):
     rc, out, err = run_main(capsys, "verify", "--suite", "appendix", "--m", "20")
     assert rc == 3

@@ -8,20 +8,18 @@ by hand the same way.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horogrowth.geodesic import (
-    DigitExpansion,
+    _expansion,
     balanced_digits,
     cap_words,
     check_level_ranges,
-    digit_expansion,
     enumerate_level,
     level_box,
     spell,
     suffix_words,
-    two_led_digits,
     word_length,
 )
 from horogrowth.group import GroupElement, eval_word, max_height, parse_word
@@ -48,68 +46,27 @@ def test_balanced_digits_reconstruct(e):
     assert sum(d * 3**k for k, d in enumerate(ds)) == e
 
 
-def test_two_led_digits_hand_values():
-    assert two_led_digits(5) == (-1, 2)
-    assert two_led_digits(6) == (0, 2)
-    assert two_led_digits(7) == (1, 2)
-    assert two_led_digits(16) == (1, -1, 2)
-    assert two_led_digits(2) == (2,)
-    assert two_led_digits(4) is None
-    assert two_led_digits(8) is None
-    assert two_led_digits(13) is None
-    assert two_led_digits(1) is None
-
-
-@given(st.integers(1, 3000))
-def test_two_led_existence_interval(e):
-    # a 2-led variant exists exactly on the bands [(3^(k+1)+1)/2, (5 3^k - 1)/2]
-    ds = two_led_digits(e)
-    h = len(balanced_digits(e)) - 1
-    in_band = h >= 1 and (3**h + 1) // 2 <= e <= (5 * 3 ** (h - 1) - 1) // 2
-    assert (ds is not None) == in_band
-    if ds is not None:
-        assert ds[-1] == 2
-        assert len(ds) == h
-        assert sum(d * 3**k for k, d in enumerate(ds)) == e
-
-
-def test_digit_expansion_hand_values():
-    assert digit_expansion(1, (5,)) == DigitExpansion(1, ((-1, 2),))
-    assert digit_expansion(1, (6,)) == DigitExpansion(1, ((0, 2),))
-    assert digit_expansion(1, (13,)) == DigitExpansion(2, ((1, 1, 1),))
-    assert digit_expansion(1, (10,)) == DigitExpansion(2, ((1, 0, 1),))
-    assert digit_expansion(2, (10, 16)) == DigitExpansion(
-        2, ((1, 0, 1), (1, -1, 2))
-    )
-    assert digit_expansion(2, (2, 16)) == DigitExpansion(
-        2, ((-1, 1, 0), (1, -1, 2))
-    )
-    assert digit_expansion(2, (5, 14)) == DigitExpansion(
-        2, ((-1, -1, 1), (-1, -1, 2))
-    )
-
-
-def test_digit_expansion_errors():
-    with pytest.raises(ValueError):
-        digit_expansion(1, (0,))
-    with pytest.raises(ValueError):
-        digit_expansion(1, (-3,))
-    with pytest.raises(ValueError):
-        digit_expansion(2, (1,))
-
-
-@given(st.lists(st.integers(0, 2000), min_size=1, max_size=3).filter(any))
-def test_digit_expansion_shape(vec):
-    m = len(vec)
-    exp = digit_expansion(m, tuple(vec))
-    assert len(exp.rows) == m
-    assert all(len(row) == exp.top + 1 for row in exp.rows)
-    assert any(row[exp.top] for row in exp.rows)
-    for row, v in zip(exp.rows, vec):
-        assert sum(d * 3**k for k, d in enumerate(row)) == v
-        assert all(d in (-1, 0, 1, 2) for d in row)
-        # digit 2 only ever leads a row at the very top level
-        assert all(d != 2 for d in row[: exp.top])
+@given(st.lists(st.integers(0, 3000), min_size=1, max_size=3).filter(any))
+@example([1])
+@example([4, 5])
+@example([7, 8])
+@example([13, 0, 14])
+def test_expansion_rows_and_bands(vec):
+    top, coords = _expansion(vec)
+    # N is the least n with max(vec) <= (5 3^n - 1)/2
+    assert max(vec) <= (5 * 3**top - 1) // 2
+    assert top == 0 or max(vec) > (5 * 3 ** (top - 1) - 1) // 2
+    # some row reaches the top index
+    assert any(lead or len(digits) == top + 1 for lead, digits in coords)
+    for (lead, digits), v in zip(coords, vec):
+        # the lead is 2 exactly on the band [(3^(N+1)+1)/2, (5 3^N - 1)/2]
+        in_band = (3 ** (top + 1) + 1) // 2 <= v <= (5 * 3**top - 1) // 2
+        assert lead == (2 if in_band else 0)
+        # a 2 only ever leads a row, at the top index
+        assert all(d in (-1, 0, 1) for d in digits)
+        assert len(digits) <= (top if lead else top + 1)
+        # each row rebuilds its coordinate
+        assert lead * 3**top + sum(d * 3**k for k, d in enumerate(digits)) == v
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +83,13 @@ def test_spell_hand_values():
     assert str(spell(3, (1, 1, 1))) == "abc"
     assert str(spell(1, (-5,))) == "tAATa"
     assert str(spell(1, (0,))) == ""
+    # lead 2 at a lone coordinate (2, 7) and just outside its band (4, 8)
+    assert str(spell(1, (2,))) == "aa"
+    assert str(spell(1, (4,))) == "taTa"
+    assert str(spell(1, (7,))) == "taaTa"
+    assert str(spell(1, (8,))) == "ttaTTA"
+    with pytest.raises(ValueError):
+        spell(2, (1,))
 
 
 def test_word_length_hand_values():
@@ -134,10 +98,12 @@ def test_word_length_hand_values():
     assert word_length(2, (10, 16)) == 10
     assert word_length(1, (0,)) == 0
     assert word_length(1, (-6,)) == 4
+    with pytest.raises(ValueError):
+        word_length(2, (1,))
 
 
 @given(
-    st.lists(st.integers(-400, 400), min_size=1, max_size=3)
+    st.lists(st.integers(-(3**40), 3**40), min_size=1, max_size=6)
 )
 @settings(max_examples=120)
 def test_spell_evaluates_to_target(vec):
@@ -210,13 +176,13 @@ def test_enumerate_level_m3_count():
 
 
 def test_enumerated_words_match_spell():
-    for n in (0, 1):
-        for w in enumerate_level(1, n):
-            v = eval_word(w).coords[0].num
-            assert spell(1, (v,)) == w
-    for w in enumerate_level(2, 0):
-        v = tuple(c.num for c in eval_word(w).coords)
-        assert spell(2, v) == w
+    # the combinatorial level language and the arithmetic digit rule agree
+    # on every vector of each shell
+    shells = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]
+    for m, n in shells:
+        for w in enumerate_level(m, n):
+            v = tuple(c.num for c in eval_word(w).coords)
+            assert spell(m, v) == w
 
 
 def test_enumerated_word_heights():
