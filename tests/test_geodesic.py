@@ -46,22 +46,83 @@ def test_balanced_digits_reconstruct(e):
     assert sum(d * 3**k for k, d in enumerate(ds)) == e
 
 
-@given(st.lists(st.integers(0, 3000), min_size=1, max_size=3).filter(any))
+def _rows(vec):
+    """The expansion of vec as (N, digit rows of length N+1), as spell pads it."""
+    top, coords = _expansion(vec)
+    rows = []
+    for lead, digits in coords:
+        row = list(digits) + [0] * (top + 1 - len(digits))
+        row[top] += lead
+        rows.append(tuple(row))
+    return top, tuple(rows)
+
+
+def test_two_led_digits_hand_values():
+    # a lone coordinate in a band [(3^(k+1)+1)/2, (5 3^k - 1)/2] leads with 2
+    assert _expansion((5,)) == (1, [(2, (-1,))])
+    assert _expansion((6,)) == (1, [(2, ())])
+    assert _expansion((7,)) == (1, [(2, (1,))])
+    assert _expansion((16,)) == (2, [(2, (1, -1))])
+    assert _expansion((2,)) == (0, [(2, ())])
+    # outside every band it keeps its balanced digits
+    assert _expansion((4,)) == (1, [(0, (1, 1))])
+    assert _expansion((8,)) == (2, [(0, (-1, 0, 1))])
+    assert _expansion((13,)) == (2, [(0, (1, 1, 1))])
+    assert _expansion((1,)) == (0, [(0, (1,))])
+
+
+_VECTORS = st.lists(st.integers(0, 3000), min_size=1, max_size=3).filter(any)
+
+
+@given(_VECTORS)
 @example([1])
 @example([4, 5])
 @example([7, 8])
 @example([13, 0, 14])
-def test_expansion_rows_and_bands(vec):
+def test_two_led_existence_interval(vec):
     top, coords = _expansion(vec)
     # N is the least n with max(vec) <= (5 3^n - 1)/2
     assert max(vec) <= (5 * 3**top - 1) // 2
     assert top == 0 or max(vec) > (5 * 3 ** (top - 1) - 1) // 2
+    for (lead, _), v in zip(coords, vec):
+        # the lead is 2 exactly on the band [(3^(N+1)+1)/2, (5 3^N - 1)/2],
+        # which is where balanced form would need index N+1
+        in_band = (3 ** (top + 1) + 1) // 2 <= v <= (5 * 3**top - 1) // 2
+        assert lead == (2 if in_band else 0)
+        assert in_band == (len(balanced_digits(v)) == top + 2)
+
+
+def test_digit_expansion_hand_values():
+    assert _rows((5,)) == (1, ((-1, 2),))
+    assert _rows((6,)) == (1, ((0, 2),))
+    assert _rows((13,)) == (2, ((1, 1, 1),))
+    assert _rows((10,)) == (2, ((1, 0, 1),))
+    assert _rows((10, 16)) == (2, ((1, 0, 1), (1, -1, 2)))
+    assert _rows((2, 16)) == (2, ((-1, 1, 0), (1, -1, 2)))
+    assert _rows((5, 14)) == (2, ((-1, -1, 1), (-1, -1, 2)))
+
+
+def test_digit_expansion_errors():
+    for f in (spell, word_length):
+        with pytest.raises(ValueError):
+            f(2, (1,))
+        with pytest.raises(ValueError):
+            f(1, (1, 2))
+    # signs are read off separately, so a negative vector expands by magnitude
+    assert _expansion((-3, 5)) == _expansion((3, 5))
+
+
+@given(_VECTORS)
+@example([1])
+@example([4, 5])
+@example([7, 8])
+@example([13, 0, 14])
+def test_digit_expansion_shape(vec):
+    top, coords = _expansion(vec)
+    assert len(coords) == len(vec)
     # some row reaches the top index
     assert any(lead or len(digits) == top + 1 for lead, digits in coords)
     for (lead, digits), v in zip(coords, vec):
-        # the lead is 2 exactly on the band [(3^(N+1)+1)/2, (5 3^N - 1)/2]
-        in_band = (3 ** (top + 1) + 1) // 2 <= v <= (5 * 3**top - 1) // 2
-        assert lead == (2 if in_band else 0)
         # a 2 only ever leads a row, at the top index
         assert all(d in (-1, 0, 1) for d in digits)
         assert len(digits) <= (top if lead else top + 1)
@@ -88,8 +149,6 @@ def test_spell_hand_values():
     assert str(spell(1, (4,))) == "taTa"
     assert str(spell(1, (7,))) == "taaTa"
     assert str(spell(1, (8,))) == "ttaTTA"
-    with pytest.raises(ValueError):
-        spell(2, (1,))
 
 
 def test_word_length_hand_values():
@@ -98,8 +157,6 @@ def test_word_length_hand_values():
     assert word_length(2, (10, 16)) == 10
     assert word_length(1, (0,)) == 0
     assert word_length(1, (-6,)) == 4
-    with pytest.raises(ValueError):
-        word_length(2, (1,))
 
 
 @given(
