@@ -29,8 +29,10 @@ print("subgroup series prefix:   ", list(series_prefix(subgroup_series(1), 10)))
 for level, column in sorted(counts.by_level.items(), reverse=True):
     print(f"  level {level}: {list(column)}")
 
-# Geodesic distance of a single lattice element, found by meeting in the
-# middle on the identity's enumeration: left multiplication by the target
-# is a graph automorphism, so one ball serves both endpoints.
+# Geodesic distance of a single lattice element g, found on the identity's
+# enumeration alone: left multiplication by g is a graph automorphism, so
+# d(s, g) = d(e, g^-1 s), and for a lattice element g^-1 s is a translate of
+# s.  Scanning the sphere at half the spelled length, and looking each
+# translate up, finds the least d(e, s) + d(s, g).
 print("distance to a^6:", element_distance(1, (6,)))
 print("distance to a^10 b^16:", element_distance(2, (10, 16)))

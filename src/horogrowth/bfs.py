@@ -9,6 +9,11 @@ on demand, and every ball is a view of its first spheres.  Radii are
 capped per rank, and stored states are counted against a memory budget
 (HOROGROWTH_BUDGET_MB, default 512): a sphere that would overrun it is
 discarded and BudgetError raised, keeping the whole spheres.
+
+The distance to a lattice element g is a bidirectional search on that
+same enumeration: it scans the one sphere halfway along the spelled
+geodesic, and looks up each state's translate by g^-1 (a shift of its
+packed coordinates, with no group product) among the states near e.
 """
 from __future__ import annotations
 
@@ -16,20 +21,21 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import sub
 from typing import Mapping, Sequence
 
 from .errors import BudgetError
 from .geodesic import word_length
-from .group import (
-    GroupElement, Word, coset_key, eval_word, is_horocyclic, multiply, step
-)
+from .group import GroupElement, Word, coset_key, eval_word, is_horocyclic, step
 from .growth import CosetCensus
 
 RADIUS_CAP = {1: 12, 2: 9, 3: 7}
 
 _DEFAULT_BUDGET_MB = 512
-_STATE_BYTES = 120
-_STATE_BYTES_PER_COORD = 60
+# bytes per stored state: at least 1.1 times the tracemalloc peak per state
+# of fresh balls at ranks 1 to 3 (the worst, 196 B, at rank 2, radius 8)
+_STATE_BYTES = 180
+_STATE_BYTES_PER_COORD = 20
 
 
 def _moves(m: int) -> tuple[tuple[int, int], ...]:
@@ -161,19 +167,39 @@ def bfs_spheres(m: int, radius: int) -> SphereCounts:
 
 def element_distance(m: int, vec: Sequence[int]) -> int:
     """Graph distance from the identity to g = a^vec, for word_length(m, vec)
-    <= 2 * RADIUS_CAP[m].  Left multiplication is a graph automorphism, so
-    this is the least d(e, s) + d(e, g^-1 s) over s in the half ball."""
+    <= 2 * RADIUS_CAP[m], by a bidirectional search on the one enumeration.
+
+    With upper = word_length(m, vec) and near = upper // 2, a geodesic of
+    length at most upper crosses the sphere of radius near at some s with
+    d(s, g) <= upper - near.  Left multiplication is a graph automorphism,
+    so d(s, g) = d(e, g^-1 s), and for the lattice element g the product
+    g^-1 s is a translation of s: (tee, exp, nums - vec 3^exp), already in
+    canonical form.  The distance is the least d(e, s) + d(e, g^-1 s) over
+    that sphere, unless g itself lies within upper - near.  A sum above
+    upper means word_length is no upper bound, and raises ValueError."""
     if len(vec) != m:
         raise ValueError("vector length does not match the rank")
     upper = word_length(m, vec)
     near = upper // 2
-    back = ball(m, upper - near)
-    ginv = GroupElement(0, 0, tuple(-x for x in vec))
-    return min(
-        d + e
-        for s, d in ball(m, near).items()
-        if (e := back.get(multiply(ginv, s))) is not None
-    )
+    direct = ball(m, upper - near).get(GroupElement(0, 0, tuple(vec)))
+    if direct is not None:
+        return direct
+    enum = _enumeration(m)
+    dist = enum.dist
+    shifts: dict[int, tuple[int, ...]] = {}
+    best = upper + 1
+    for tee, exp, nums in islice(dist, enum.ends[near - 1] if near else 0, enum.ends[near]):
+        shift = shifts.get(exp)
+        if shift is None:
+            shift = shifts[exp] = tuple(x * 3**exp for x in vec)
+        back = dist.get((tee, exp, tuple(map(sub, nums, shift))))
+        if back is not None and near + back < best:
+            best = near + back
+    if best > upper:
+        raise ValueError(
+            f"word_length gives {upper} for {tuple(vec)}, below its graph distance"
+        )
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +233,7 @@ def relative_growth(m: int, stem: Word, radius: int) -> list[int]:
     key = coset_key(eval_word(stem))
     per_radius = [0] * (span + 1)
     for g, r in elements.items():
-        if coset_key(g) == key:
+        if g.tee == key[0] and coset_key(g) == key:
             per_radius[r] += 1
     first = next(r for r, count in enumerate(per_radius) if count)
     if first != stem.length:

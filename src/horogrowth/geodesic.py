@@ -60,6 +60,8 @@ def _digits_to_word(m: int, top: int, rows, signs) -> Word:
 
 def spell(m: int, vec: tuple[int, ...]) -> Word:
     """Geodesic word for the lattice element a^vec."""
+    if m < 1:
+        raise ValueError("rank m must be at least 1")
     if len(vec) != m:
         raise ValueError("vector length does not match m")
     if not any(vec):

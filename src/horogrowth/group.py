@@ -168,7 +168,7 @@ class Word:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        for tok in self.tokens:
+        for tok in dict.fromkeys(self.tokens):
             if not _valid_token(tok, self.m):
                 raise ValueError(f"invalid token {tok!r} for m={self.m}")
 
@@ -185,6 +185,8 @@ def parse_word(text: str, m: int) -> Word:
 
     Words longer than WORD_LENGTH_CAP tokens raise BudgetError before any
     token is built."""
+    if m < 1:
+        raise ValueError("rank m must be at least 1")
     runs: list[tuple[str, int]] = []
     length = 0
     i = 0

@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import signal
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horogrowth import bfs, growth
+from horogrowth import bfs, group, growth
 from horogrowth.bfs import (
     SphereCounts,
     _enumeration,
@@ -32,6 +34,7 @@ from horogrowth.group import (
     GroupElement,
     Word,
     eval_word,
+    inverse,
     is_horocyclic,
     multiply,
     parse_word,
@@ -201,7 +204,8 @@ def test_budget_overrun_on_a_fresh_enumeration(fresh_enumerations, monkeypatch):
     assert time.perf_counter() - start < 1
     # the overrunning sphere is discarded, leaving whole spheres only
     kept = _enumeration(2)
-    assert kept.ends[-1] == len(kept.dist) < 1024 * 1024 // 240
+    model = bfs._STATE_BYTES + 2 * bfs._STATE_BYTES_PER_COORD
+    assert kept.ends[-1] == len(kept.dist) < 1024 * 1024 // model
     monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
     grown = list(ball(2, 8).items())
     assert len(grown) == 46105
@@ -218,6 +222,21 @@ def test_smaller_balls_survive_growth(fresh_enumerations):
     far = next(g for g, d in ball(2, 8).items() if d == 5)
     assert small.get(far) is None and far not in small
     assert list(small.values()) == [d for _, d in before]
+
+
+@pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])
+def test_budget_model_covers_the_measured_bytes(fresh_enumerations, m, radius):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        states = len(ball(m, radius))
+        per_state = (tracemalloc.get_traced_memory()[1] - base) / states
+    finally:
+        tracemalloc.stop()
+    model = bfs._STATE_BYTES + bfs._STATE_BYTES_PER_COORD * m
+    # a tenth of headroom over the peak, without refusing balls that fit
+    assert 1.1 * per_state <= model <= 1.75 * per_state
 
 
 def test_spheres_need_no_closed_form(fresh_enumerations, monkeypatch):
@@ -270,6 +289,68 @@ def test_element_distance_across_the_band_bounds(n):
         (5 * 3**n + 1) // 2,
     ):
         assert element_distance(1, (e,)) == word_length(1, (e,))
+
+
+BOXES = (
+    [(v,) for v in range(-13, 14)]
+    + list(itertools.product(range(-4, 5), repeat=2))
+    + list(itertools.product(range(-3, 4), repeat=3))
+)
+
+
+@pytest.mark.parametrize("excess", [1, 2, 3])
+def test_element_distance_is_exact_from_an_overestimate(monkeypatch, excess):
+    monkeypatch.setattr(bfs, "word_length", lambda m, v: word_length(m, v) + excess)
+    for v in BOXES:
+        assert element_distance(len(v), v) == word_length(len(v), v)
+
+
+def test_element_distance_refuses_an_underestimate(monkeypatch):
+    monkeypatch.setattr(bfs, "word_length", lambda m, v: word_length(m, v) - 1)
+    for v in [(1,), (6,), (13,), (4, -3), (10, 16), (3, -2, 1)]:
+        with pytest.raises(ValueError, match=re.escape(str(v))):
+            element_distance(len(v), v)
+
+
+def test_distance_search_runs_no_group_product(monkeypatch):
+    far = [(-40, -36), (-40, -6), (-20, -19, -9)]
+    for v in far:
+        ball(len(v), 6)  # the far half of a geodesic of length 12
+
+    def product(*args):
+        raise AssertionError("the distance search ran a general group product")
+
+    monkeypatch.setattr(group, "multiply", product)
+    monkeypatch.setattr(group, "_canonical", product)
+    monkeypatch.setattr(bfs, "multiply", product, raising=False)
+    for v in far:
+        assert element_distance(len(v), v) == 12
+
+
+class _RecordedLookups(dict):
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.looked_up = []
+
+    def get(self, key, default=None):
+        self.looked_up.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("vec", [(9,), (13,), (-40, -6), (7, -11), (-20, -19, -9)])
+def test_distance_search_looks_up_each_translate(monkeypatch, vec):
+    # the translate of a sphere state by g^-1 is computed without multiply;
+    # it must be the canonical product itself, or the lookup misses silently
+    m, near = len(vec), word_length(len(vec), vec) // 2
+    enum = _enumeration(m)
+    ball(m, word_length(m, vec) - near)
+    recorded = _RecordedLookups(enum.dist)
+    monkeypatch.setattr(enum, "dist", recorded)
+    element_distance(m, vec)
+    ginv = inverse(GroupElement(0, 0, vec))
+    sphere = [s for s, d in ball(m, near).items() if d == near]
+    assert recorded.looked_up == [multiply(ginv, s) for s in sphere]
+    assert any(s.exp for s in sphere)
 
 
 def test_element_distance_budget():

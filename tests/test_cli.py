@@ -174,6 +174,9 @@ def test_oversized_inputs_exit_3(capsys, argv):
         ("verify", "--suite", "census", "--m", "0"),
         ("verify", "--suite", "bfs", "--m", "0"),
         ("verify", "--suite", "bfs", "--m", "-1"),
+        ("eval", "--m", "0", "--word", "t"),
+        ("eval", "--m", "-2", "--word", "t"),
+        ("spell", "--m", "0", "--vector", "1"),
     ],
 )
 def test_nonpositive_rank_is_a_bad_input(capsys, argv):
