@@ -4,7 +4,11 @@ Brute-force enumeration of the Cayley graph
 
 Breadth-first search over exact group elements is the package's
 certificate: every closed form is replayed against sphere counts that
-never touch a formula.
+never touch a formula.  The counts are taken on orbits of the signed
+coordinate permutations, automorphisms of the group that fix e and
+permute the generators, each orbit weighing its size; the enumeration of
+every element gives distances, and certifies the orbit counts in the
+tests.
 """
 
 from horogrowth import (
@@ -15,7 +19,7 @@ from horogrowth import (
     subgroup_series,
 )
 
-# Enumerate the rank-1 ball of radius 10 and print the sphere sizes.
+# Count the rank-1 ball of radius 10 and print the sphere sizes.
 counts = bfs_spheres(1, 10)
 print("rank 1 total spheres:     ", list(counts.total))
 print("rank 1 lattice spheres:   ", list(counts.horocyclic))

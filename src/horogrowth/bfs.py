@@ -3,30 +3,40 @@
 This is the brute-force certificate for the closed-form series: sphere
 sizes, geodesic distances, coset distances, and relative coset growth
 are measured directly on group elements, never through a formula.
-Each rank has one enumeration from the identity, in the packed form of
-``group`` and stepped with ``group.step``; it grows a sphere at a time
-on demand, and every ball is a view of its first spheres.  Radii are
-capped per rank, and stored states are counted against a memory budget
+
+Signed permutations of the coordinates (the hyperoctahedral group B_m, of
+order m! 2^m) are automorphisms of G_m that fix e and permute the
+generators, so every sphere, every coset census and every coset's growth
+is a sum over B_m-orbits.  Counts are therefore taken on a breadth-first
+search of orbit representatives (tee, exp, sorted |nums|), each weighing
+its orbit size m! 2^(nonzeros) / prod mult!.  Distances and balls of
+elements come from the flat enumeration of every element, which is also
+the certificate of the orbit counts in the tests.
+
+Each rank has one of each, in the packed form of ``group``, stepped with
+``group.step`` and grown a sphere at a time on demand.  Radii are capped
+per rank, and stored states are counted against a memory budget
 (HOROGROWTH_BUDGET_MB, default 512): a sphere that would overrun it is
 discarded and BudgetError raised, keeping the whole spheres.
 
-The distance to a lattice element g is a bidirectional search on that
-same enumeration: it scans the one sphere halfway along the spelled
-geodesic, and looks up each state's translate by g^-1 (a shift of its
-packed coordinates, with no group product) among the states near e.
+The distance to a lattice element g is a bidirectional search on the flat
+enumeration: it scans the one sphere halfway along the spelled geodesic,
+and looks up each state's translate by g^-1 (a shift of its packed
+coordinates, with no group product) among the states near e.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice, repeat
+from math import factorial
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetError
 from .geodesic import word_length
-from .group import GroupElement, Word, coset_key, eval_word, is_horocyclic, step
+from .group import GroupElement, Word, _pack, coset_key, eval_word, is_horocyclic, step
 from .growth import CosetCensus
 
 RADIUS_CAP = {1: 12, 2: 9, 3: 7}
@@ -36,6 +46,10 @@ _DEFAULT_BUDGET_MB = 512
 # of fresh balls at ranks 1 to 3 (the worst, 196 B, at rank 2, radius 8)
 _STATE_BYTES = 180
 _STATE_BYTES_PER_COORD = 20
+# bytes per stored orbit, fitted the same way on fresh quotients at ranks
+# 1 to 3 (the worst, 190 B, at rank 1, radius 12)
+_ORBIT_BYTES = 200
+_ORBIT_BYTES_PER_COORD = 10
 
 
 def _moves(m: int) -> tuple[tuple[int, int], ...]:
@@ -54,6 +68,28 @@ def _budget_bytes() -> int:
     if mb <= 0:
         raise BudgetError(f"HOROGROWTH_BUDGET_MB must be positive: {mb}")
     return mb * 1024 * 1024
+
+
+def _check_radius(m: int, radius: int) -> None:
+    if m < 1:
+        raise ValueError("rank m must be at least 1")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if radius > RADIUS_CAP.get(m, -1):
+        raise BudgetError(
+            f"no rank-{m} ball of radius {radius} within the radius caps {RADIUS_CAP}"
+        )
+
+
+def _grow(enum, m: int, radius: int, state_bytes: int, states: str) -> None:
+    """Grow an enumeration out to radius within the budget, checked on
+    every call against the states it holds."""
+    limit = _budget_bytes() // state_bytes
+    if not enum.grow(radius, limit):
+        raise BudgetError(
+            f"the rank-{m} ball of radius {radius} holds more than the {limit} "
+            f"{states} the memory budget allows (set HOROGROWTH_BUDGET_MB to raise it)"
+        )
 
 
 class _Enumeration:
@@ -89,6 +125,76 @@ class _Enumeration:
 _enumeration = lru_cache(maxsize=None)(_Enumeration)
 
 
+def _orbit_size(m: int, values: Sequence[int]) -> int:
+    """How many vectors the signed permutations make of m sorted
+    nonnegative values: m! 2^(nonzeros) / prod mult!."""
+    size = factorial(m) << (m - values.count(0))
+    run = 1
+    for a, b in zip(values, values[1:]):
+        # the j-th equal value in a run divides by j, so a run of mult by mult!
+        run = run + 1 if a == b else 1
+        size //= run
+    return size
+
+
+class _Quotient:
+    """B_m-orbits by graph distance from the identity, in breadth-first
+    order: size maps each representative (tee, exp, sorted |nums|) to its
+    orbit size, its first ends[r] orbits lie within radius r, and frontier
+    is the last sphere."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.frontier = [GroupElement.identity(m)]
+        self.size = {self.frontier[0]: 1}
+        self.ends = [1]
+
+    def grow(self, radius: int, limit: int) -> bool:
+        """Whether the quotient ball fits in limit orbits, enumerating out
+        to radius if so; a sphere that overruns the limit is discarded."""
+        size, m = self.size, self.m
+        while len(self.ends) <= radius:
+            for g in self.frontier:
+                # moves that a signed permutation fixing g maps to each other
+                # reach one orbit: one move per run of equal |coordinates|,
+                # and a single sign on a zero coordinate
+                nums = g[2]
+                nbs = [step(g, -1, 1), step(g, -1, -1)]
+                for i, x in enumerate(nums):
+                    if i and x == nums[i - 1]:
+                        continue
+                    nbs.append(step(g, i, 1))
+                    if x:
+                        nbs.append(step(g, i, -1))
+                for tee, exp, vec in nbs:
+                    rep = _pack(GroupElement, (tee, exp, tuple(sorted(map(abs, vec)))))
+                    if rep not in size:
+                        size[rep] = _orbit_size(m, rep[2])
+                if len(size) > limit:
+                    while len(size) > self.ends[-1]:
+                        size.popitem()
+                    return False
+            self.frontier = list(islice(size, self.ends[-1], None))
+            self.ends.append(len(size))
+        return self.ends[radius] <= limit
+
+
+_quotient = lru_cache(maxsize=None)(_Quotient)
+
+
+def _orbits(m: int, radius: int) -> Iterator[tuple[tuple[GroupElement, int], int]]:
+    """((representative, orbit size), distance) for every B_m-orbit within
+    radius of the identity, in breadth-first order.  The budget is checked
+    on every call; the radius caps are left to the callers."""
+    quotient = _quotient(m)
+    _grow(quotient, m, radius, _ORBIT_BYTES + _ORBIT_BYTES_PER_COORD * m, "orbit states")
+    ends = quotient.ends
+    dist = chain.from_iterable(
+        repeat(r, ends[r] - (ends[r - 1] if r else 0)) for r in range(radius + 1)
+    )
+    return zip(quotient.size.items(), dist)
+
+
 class _SphereView(Mapping):
     """Spheres 0..radius of an enumeration, read-only.  items() is an
     iterator, and like any dict iterator it fails if the enumeration grows."""
@@ -116,21 +222,9 @@ def ball(m: int, radius: int) -> Mapping[GroupElement, int]:
     """Graph distance from the identity of every element within radius,
     in breadth-first order (so distances never decrease).  The budget is
     checked on every call, against the states the ball holds."""
-    if m < 1:
-        raise ValueError("rank m must be at least 1")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius > RADIUS_CAP.get(m, -1):
-        raise BudgetError(
-            f"no rank-{m} ball of radius {radius} within the radius caps {RADIUS_CAP}"
-        )
-    limit = _budget_bytes() // (_STATE_BYTES + _STATE_BYTES_PER_COORD * m)
+    _check_radius(m, radius)
     enum = _enumeration(m)
-    if not enum.grow(radius, limit):
-        raise BudgetError(
-            f"the rank-{m} ball of radius {radius} holds more than the {limit} "
-            "states the memory budget allows (set HOROGROWTH_BUDGET_MB to raise it)"
-        )
+    _grow(enum, m, radius, _STATE_BYTES + _STATE_BYTES_PER_COORD * m, "states")
     return _SphereView(enum.dist, radius, enum.ends[radius])
 
 
@@ -148,15 +242,21 @@ class SphereCounts:
 
 def bfs_spheres(m: int, radius: int) -> SphereCounts:
     """Count elements at each graph distance 0..radius."""
-    elements = ball(m, radius)
+    _check_radius(m, radius)
+    return _orbit_spheres(m, radius)
+
+
+def _orbit_spheres(m: int, radius: int) -> SphereCounts:
+    """bfs_spheres without the radius caps: the orbit sizes summed by
+    distance."""
     total = [0] * (radius + 1)
     horo = [0] * (radius + 1)
     levels: dict[int, list[int]] = {}
-    for g, r in elements.items():
-        total[r] += 1
+    for (g, size), r in _orbits(m, radius):
+        total[r] += size
         if is_horocyclic(g):
-            horo[r] += 1
-        levels.setdefault(min(g.tee, 0), [0] * (radius + 1))[r] += 1
+            horo[r] += size
+        levels.setdefault(min(g.tee, 0), [0] * (radius + 1))[r] += size
     by_level = {level: tuple(col) for level, col in levels.items()}
     return SphereCounts(m, radius, tuple(total), tuple(horo), by_level)
 
@@ -167,7 +267,7 @@ def bfs_spheres(m: int, radius: int) -> SphereCounts:
 
 def element_distance(m: int, vec: Sequence[int]) -> int:
     """Graph distance from the identity to g = a^vec, for word_length(m, vec)
-    <= 2 * RADIUS_CAP[m], by a bidirectional search on the one enumeration.
+    <= 2 * RADIUS_CAP[m], by a bidirectional search on the flat enumeration.
 
     With upper = word_length(m, vec) and near = upper // 2, a geodesic of
     length at most upper crosses the sphere of radius near at some s with
@@ -206,17 +306,32 @@ def element_distance(m: int, vec: Sequence[int]) -> int:
 # coset census and relative growth
 
 
+def _coset_orbit(key):
+    """A coset_key made invariant under signed permutations: each residue
+    rho mod 3^k becomes min(rho, 3^k - rho), and they are sorted."""
+    tee, k, residues = key
+    q = 3**k
+    return tee, k, tuple(sorted(min(x, q - x) for x in residues))
+
+
 def coset_distance_census(m: int, radius: int) -> CosetCensus:
     """chi(level, r) measured on the graph: each coset is charged to the
     distance of its closest element."""
-    elements = ball(m, radius)
+    _check_radius(m, radius)
+    return _orbit_census(m, radius)
+
+
+def _orbit_census(m: int, radius: int) -> CosetCensus:
+    """coset_distance_census without the radius caps: the cosets of a
+    coset orbit all lie at one distance, so each orbit is charged its size
+    at the first element orbit that reaches it."""
     columns = {level: [0] * (radius + 1) for level in range(0, -(radius + 1), -1)}
     seen = set()
-    for g, r in elements.items():
-        key = coset_key(g)
+    for (g, _), r in _orbits(m, radius):
+        key = _coset_orbit(coset_key(g))
         if key not in seen:
             seen.add(key)
-            columns[min(g.tee, 0)][r] += 1
+            columns[min(g.tee, 0)][r] += _orbit_size(m, key[2])
     return CosetCensus(m, radius, {lv: tuple(col) for lv, col in columns.items()})
 
 
@@ -224,20 +339,26 @@ def relative_growth(m: int, stem: Word, radius: int) -> list[int]:
     """Count elements of the coset (stem) Z^m at distance L + r for
     r = 0..radius, where L is the stem's token count.
 
-    The stem must be geodesic to its coset: its token count must equal
-    the coset's graph distance, otherwise ValueError."""
+    The cosets of one coset orbit grow alike, so the count is the summed
+    size of the element orbits in the stem's coset orbit, divided by the
+    number of its cosets.  The stem must be geodesic to its coset: its
+    token count must equal the coset's graph distance, otherwise
+    ValueError."""
     if stem.m != m:
         raise ValueError("stem rank does not match m")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     span = stem.length + radius
-    elements = ball(m, span)
-    key = coset_key(eval_word(stem))
+    _check_radius(m, span)
+    key = _coset_orbit(coset_key(eval_word(stem)))
     per_radius = [0] * (span + 1)
-    for g, r in elements.items():
-        if g.tee == key[0] and coset_key(g) == key:
-            per_radius[r] += 1
+    for (g, size), r in _orbits(m, span):
+        if g.tee == key[0] and _coset_orbit(coset_key(g)) == key:
+            per_radius[r] += size
     first = next(r for r, count in enumerate(per_radius) if count)
     if first != stem.length:
         raise ValueError(
             f"stem of length {stem.length} reaches a coset at distance {first}"
         )
-    return per_radius[stem.length :]
+    cosets = _orbit_size(m, key[2])
+    return [count // cosets for count in per_radius[stem.length :]]

@@ -3,6 +3,8 @@
 The independent oracle here enumerates literal words over the generator
 alphabet and evaluates them with the group operations, so the sphere
 counts are certified by a route that never touches the BFS internals.
+The orbit counts behind bfs_spheres, coset_distance_census and
+relative_growth are certified element by element on the flat ball.
 """
 from __future__ import annotations
 
@@ -20,8 +22,14 @@ from hypothesis import strategies as st
 from horogrowth import bfs, group, growth
 from horogrowth.bfs import (
     SphereCounts,
+    _coset_orbit,
     _enumeration,
     _moves,
+    _orbit_census,
+    _orbit_size,
+    _orbit_spheres,
+    _orbits,
+    _quotient,
     ball,
     bfs_spheres,
     coset_distance_census,
@@ -33,6 +41,7 @@ from horogrowth.geodesic import word_length
 from horogrowth.group import (
     GroupElement,
     Word,
+    coset_key,
     eval_word,
     inverse,
     is_horocyclic,
@@ -40,7 +49,7 @@ from horogrowth.group import (
     parse_word,
     step,
 )
-from horogrowth.growth import coset_census, subgroup_series
+from horogrowth.growth import CosetCensus, coset_census, full_series, subgroup_series
 from horogrowth.series import poly, rf_mul, rf_normalize, series_prefix
 
 
@@ -65,6 +74,49 @@ def brute_spheres(m: int, max_len: int):
         level = min(g.tee, 0)
         by_level.setdefault(level, [0] * (max_len + 1))[n] += 1
     return total, horo, by_level
+
+
+def flat_spheres(m: int, radius: int) -> SphereCounts:
+    """Sphere counts taken element by element on the flat ball."""
+    total = [0] * (radius + 1)
+    horo = [0] * (radius + 1)
+    levels: dict[int, list[int]] = {}
+    for g, r in ball(m, radius).items():
+        total[r] += 1
+        horo[r] += is_horocyclic(g)
+        levels.setdefault(min(g.tee, 0), [0] * (radius + 1))[r] += 1
+    by_level = {level: tuple(col) for level, col in levels.items()}
+    return SphereCounts(m, radius, tuple(total), tuple(horo), by_level)
+
+
+def flat_census(m: int, radius: int) -> CosetCensus:
+    """Each coset_key of the flat ball charged to its closest element."""
+    columns = {level: [0] * (radius + 1) for level in range(0, -(radius + 1), -1)}
+    seen = set()
+    for g, r in ball(m, radius).items():
+        key = coset_key(g)
+        if key not in seen:
+            seen.add(key)
+            columns[min(g.tee, 0)][r] += 1
+    return CosetCensus(m, radius, {lv: tuple(col) for lv, col in columns.items()})
+
+
+def flat_relative_growth(m: int, stem: Word, radius: int) -> list[int]:
+    """Elements of the flat ball in the stem's coset, by distance."""
+    span = stem.length + radius
+    key = coset_key(eval_word(stem))
+    per_radius = [0] * (span + 1)
+    for g, r in ball(m, span).items():
+        if g.tee == key[0] and coset_key(g) == key:
+            per_radius[r] += 1
+    return per_radius[stem.length :]
+
+
+def signed_permutations(m: int):
+    """Every signed permutation of m coordinates, as a function on vectors."""
+    for perm in itertools.permutations(range(m)):
+        for signs in itertools.product((1, -1), repeat=m):
+            yield lambda v, p=perm, s=signs: tuple(e * v[i] for e, i in zip(s, p))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +231,13 @@ def test_ball_is_in_breadth_first_order():
 
 @pytest.fixture
 def fresh_enumerations():
-    """Start from unenumerated graphs, and leave none half grown."""
+    """Start from unenumerated graphs and quotients, and leave none half
+    grown."""
     _enumeration.cache_clear()
+    _quotient.cache_clear()
     yield
     _enumeration.cache_clear()
+    _quotient.cache_clear()
 
 
 def _hung(signum, frame):
@@ -249,6 +304,103 @@ def test_spheres_need_no_closed_form(fresh_enumerations, monkeypatch):
     counts = bfs_spheres(2, 5)
     assert list(counts.total) == [1, 6, 26, 98, 334, 1074]
     assert list(counts.horocyclic) == [1, 4, 8, 12, 24, 52]
+
+
+# ---------------------------------------------------------------------------
+# orbits of the signed permutations
+
+
+def test_orbit_size_counts_the_signed_permutations():
+    for m in range(1, 5):
+        for v in itertools.combinations_with_replacement(range(4), m):
+            images = {sigma(v) for sigma in signed_permutations(m)}
+            assert _orbit_size(m, v) == len(images), v
+
+
+def test_coset_orbit_is_invariant_and_sized_like_an_orbit():
+    # the cosets met by the signed images of g are exactly the coset orbit
+    # of g's key, and they number _orbit_size of its canonical residues
+    for m in (1, 2, 3):
+        for g in ball(m, 4):
+            tee, exp, nums = g
+            keys = {
+                coset_key(GroupElement(tee, exp, sigma(nums)))
+                for sigma in signed_permutations(m)
+            }
+            canonical = {_coset_orbit(key) for key in keys}
+            assert canonical == {_coset_orbit(coset_key(g))}
+            assert len(keys) == _orbit_size(m, canonical.pop()[2]), g
+
+
+@pytest.mark.parametrize("m,radius", [(1, 10), (2, 8), (3, 6)])
+def test_orbit_spheres_match_the_flat_ball(m, radius):
+    assert bfs_spheres(m, radius) == flat_spheres(m, radius)
+
+
+@pytest.mark.parametrize("m,radius", [(1, 10), (2, 8), (3, 6)])
+def test_orbit_census_matches_a_flat_coset_scan(m, radius):
+    assert coset_distance_census(m, radius) == flat_census(m, radius)
+
+
+@pytest.mark.parametrize("stem", ["", "t", "T", "TT", "at"])
+@pytest.mark.parametrize("m,span", [(1, 10), (2, 8), (3, 6)])
+def test_relative_growth_matches_a_flat_scan(m, span, stem):
+    # "at" reaches a coset that the signed permutations move
+    word = parse_word(stem, m)
+    radius = span - word.length
+    assert relative_growth(m, word, radius) == flat_relative_growth(m, word, radius)
+
+
+@pytest.mark.parametrize("m,radius", [(4, 7), (5, 6), (6, 6)])
+def test_orbit_counts_match_the_closed_forms_past_the_caps(m, radius):
+    # ranks the flat ball never reaches, with repeated nonzero magnitudes
+    counts = _orbit_spheres(m, radius)
+    assert list(counts.total) == list(series_prefix(full_series(m), radius))
+    assert list(counts.horocyclic) == list(series_prefix(subgroup_series(m), radius))
+    assert _orbit_census(m, radius) == coset_census(m, radius)
+    reps = [g for (g, size), r in _orbits(m, radius)]
+    assert any(0 < a == b for g in reps for a, b in zip(g.nums, g.nums[1:]))
+
+
+def test_orbit_budget_is_checked_on_every_call(monkeypatch):
+    bfs_spheres(2, 8)  # a cached quotient must not bypass the budget
+    monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
+    message = "the rank-2 ball of radius 8 holds more than"
+    with pytest.raises(BudgetError, match=message):
+        bfs_spheres(2, 8)
+    with pytest.raises(BudgetError, match=message):
+        coset_distance_census(2, 8)
+    with pytest.raises(BudgetError, match=message):
+        relative_growth(2, parse_word("TT", 2), 6)
+
+
+def test_orbit_budget_overrun_on_a_fresh_quotient(fresh_enumerations, monkeypatch):
+    monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
+    with pytest.raises(BudgetError, match="the rank-2 ball of radius 8 holds more than"):
+        bfs_spheres(2, 8)
+    # the overrunning sphere is discarded, leaving whole spheres only
+    kept = _quotient(2)
+    model = bfs._ORBIT_BYTES + 2 * bfs._ORBIT_BYTES_PER_COORD
+    assert kept.ends[-1] == len(kept.size) < 1024 * 1024 // model
+    monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
+    assert bfs_spheres(2, 8) == flat_spheres(2, 8)
+    assert len(kept.size) == 6632  # of the ball's 46,105 elements
+
+
+@pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])
+def test_orbit_budget_model_covers_the_measured_bytes(fresh_enumerations, m, radius):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        orbits = sum(1 for _ in _orbits(m, radius))
+        per_orbit = (tracemalloc.get_traced_memory()[1] - base) / orbits
+    finally:
+        tracemalloc.stop()
+    assert orbits == {(2, 8): 6632, (3, 6): 1065}[m, radius]
+    model = bfs._ORBIT_BYTES + bfs._ORBIT_BYTES_PER_COORD * m
+    # as for the flat states: a tenth of headroom, without refusing what fits
+    assert 1.1 * per_orbit <= model <= 1.75 * per_orbit
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +544,19 @@ def test_relative_growth_goldens():
 def test_relative_growth_rejects_non_stem():
     with pytest.raises(ValueError):
         relative_growth(1, parse_word("a", 1), 2)
+
+
+@pytest.mark.parametrize(
+    "m,stem,radius",
+    [(2, "TT", -1), (2, "t", -1), (2, "TT", -2), (1, "T", -1), (3, "at", -2), (1, "", -1)],
+)
+def test_relative_growth_refuses_a_negative_radius(monkeypatch, m, stem, radius):
+    def enumerate_(*args):
+        raise AssertionError("enumerated before refusing the radius")
+
+    monkeypatch.setattr(bfs, "_orbits", enumerate_)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        relative_growth(m, parse_word(stem, m), radius)
 
 
 def test_relative_growth_budget():

@@ -4,6 +4,7 @@ determinism, and the exit-code contract (0 ok, 2 verification failure,
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -230,6 +231,23 @@ def test_verify_json_erratum(capsys):
     assert obj["pass"] is True
     assert obj["erratum"][0]["erratum"] is True
     assert obj["erratum"][0]["first_mismatch"] == 1
+
+
+# sha256 of the --output json stdout of verify runs whose counts come from
+# the orbit enumeration, recorded when the flat enumeration counted them
+VERIFY_DIGESTS = {
+    "bfs": "fd835a87397e64ad2d11d9643766a056dd1c35a470b680145095b106863c346f",
+    "census": "c373827e122b528a90dbe0250650d9ceef797eae7ce1aa390e267ce8236962a1",
+    "census --m 3": "ace5583c22d62a10df61b81e26dba9b0107b61be0e08f237551189fcf8e1a04a",
+    "bfs --m 2 --radius 9": "4b73fd28e036c7b3ad4f26786e4893398c405af5fa58edd7e4875691bf96a41d",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
+def test_verify_json_bytes_are_pinned(capsys, suite):
+    rc, out, _ = run_main(capsys, "verify", "--suite", *suite.split(), "--output", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
 
 
 def test_language_suite_honours_the_budget(monkeypatch, capsys):
