@@ -19,8 +19,6 @@ from .series import (
     RationalFunction,
     X,
     poly,
-    rf_add,
-    rf_mul,
     rf_normalize,
     rf_reduce,
     series_prefix,
@@ -28,8 +26,8 @@ from .series import (
 
 # public census horizon cap; deeper tables serve only the level-series check
 CENSUS_RMAX = 24
-# largest rank with closed forms: a cold full_series(30) takes about 2 s on
-# a 2-vCPU host, and each doubling of the rank costs about 16x
+# largest rank with closed forms: a cold full_series(30) takes 0.3-0.5 s on
+# a 2-vCPU host, about 12x a cold full_series(15)
 RANK_CAP = 30
 # largest stem depth of relative_growth_series: at rank 30, depth 24 takes
 # under 1 s and depth 32 about 4 s
@@ -168,27 +166,45 @@ class CosetCensus:
         }
 
 
+def _level_horizon(m: int) -> int:
+    # level_series certifies through x^(2(m + 4) + 6): it stays there because
+    # certified_to reports it in the census output and the census suite, and
+    # it is well past 2m + 5, the degrees of the numerator and denominator of
+    # X_0 added
+    return 2 * (m + 4) + 6
+
+
 @lru_cache(maxsize=None)
-def _stem_columns(m: int, rmax: int) -> dict[int, tuple[int, ...]]:
+def _stem_columns(m: int) -> dict[int, tuple[int, ...]]:
     """chi table from the stem normal form T^n (w_1 t)...(w_j t) at level
     -max(0, n - j): a block w t with |w| = l costs l + 1 in C(m,l) 2^l
     ways, and w_1 is nonempty whenever n >= 1.
 
-    One pass over d = n - j, from rmax - 1 down to -rmax, carries the
-    length polynomial of the stems with j >= 1 at that d, cut at x^rmax.
-    Each step multiplies it by x W, which adds one block to every stem of
-    the step before, and adds T^(d+1) with its first block: x^(d+1) (x W - x)
-    for d + 1 >= 1, and x W for the empty T^0."""
-    xw = suffix_poly(m).shift(1)
+    One table per rank, at horizon rmax = max(CENSUS_RMAX, the level-series
+    horizon); coset_census and level_series read slices of it.  One pass
+    over d = n - j, from rmax - 1 down to -rmax, carries the length
+    coefficients of the stems with j >= 1 at that d, up to x^rmax.  Each
+    step multiplies them by x W, which adds one block to every stem of the
+    step before, and adds T^(d+1) with its first block: x^(d+1) (x W - x)
+    for d + 1 >= 1, and x W for the empty T^0.  Multiplying by x W only
+    raises degrees, so the coefficients up to x^r, and the levels down to
+    -r, equal those of a pass at horizon r."""
+    rmax = max(CENSUS_RMAX, _level_horizon(m))
+    w = suffix_poly(m).coeffs
     table = {-n: [0] * n + [1] + [0] * (rmax - n) for n in range(rmax + 1)}
-    stems = ZERO
+    stems = [0] * (rmax + 1)
     for d in range(rmax - 1, -rmax - 1, -1):
-        stems = stems * xw
-        if d >= -1:
-            stems = stems + (xw - X if d >= 0 else xw).shift(d + 1)
-        stems = IntPolynomial(stems.coeffs[: rmax + 1])
+        new = [0] * (rmax + 1)  # x W times stems, up to x^rmax
+        for i, s in enumerate(stems[:rmax]):
+            if s:
+                for l, wl in enumerate(w[: rmax - i]):
+                    new[i + 1 + l] += s * wl
+        if d >= -1:  # T^(d+1) and its first block
+            for l in range(0 if d < 0 else 1, min(m, rmax - d - 2) + 1):
+                new[d + 2 + l] += w[l]
+        stems = new
         col = table[-max(0, d)]
-        for r, cnt in enumerate(stems.coeffs):
+        for r, cnt in enumerate(stems):
             col[r] += cnt
     return {level: tuple(col) for level, col in table.items()}
 
@@ -202,7 +218,8 @@ def coset_census(m: int, rmax: int) -> CosetCensus:
         raise BudgetError(
             f"census horizon {rmax} exceeds the supported cap {CENSUS_RMAX}"
         )
-    return CosetCensus(m, rmax, _stem_columns(m, rmax))
+    table = _stem_columns(m)
+    return CosetCensus(m, rmax, {-n: table[-n][: rmax + 1] for n in range(rmax + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +240,8 @@ class LevelSeries:
 @lru_cache(maxsize=None)
 def level_series(m: int) -> LevelSeries:
     """Coset series at levels -1 and 0, summed from the stem normal form
-    (see _stem_columns) and certified against its table.
+    (see _stem_columns) and certified against the first 2(m + 4) + 7
+    coefficients of the rank's stem table.
 
     The blocks w t together count x W, with W = (1+2x)^m, and the first
     block after T^n with n >= 1 counts x (W - 1), since it is nonempty.
@@ -235,18 +253,15 @@ def level_series(m: int) -> LevelSeries:
     p_hat = (1 - x^2 W) X_-1 = x - x^3 and
     q_hat = (1 - x W) X_0 - x W X_-1 = 1 - x^2."""
     _check_rank(m)
-    # stays 2(m + 4) + 6 because certified_to reports it in the census
-    # output and the census suite; it is well past 2m + 5, the degrees of
-    # the numerator and denominator of X_0 added
-    horizon = 2 * (m + 4) + 6
-    columns = _stem_columns(m, horizon)
+    horizon = _level_horizon(m)
+    columns = _stem_columns(m)
     p_hat = poly(0, 1, 0, -1)
     q_hat = poly(1, 0, -1)
     x_minus1 = rf_normalize(p_hat, _block_denominator(m))
     xw = suffix_poly(m).shift(1)
     x_zero = rf_normalize(q_hat, (ONE - xw) * _block_denominator(m))
     for level, f in ((-1, x_minus1), (0, x_zero)):
-        if list(series_prefix(f, horizon)) != list(columns[level]):
+        if list(series_prefix(f, horizon)) != list(columns[level][: horizon + 1]):
             raise FitError(
                 f"level {level} series fails certification against the census"
             )
@@ -271,16 +286,19 @@ def relative_growth_series(m: int, n: int) -> RationalFunction:
 
 @lru_cache(maxsize=None)
 def full_series(m: int) -> RationalFunction:
-    """Growth series of the whole group, assembled from the subgroup series
-    and the certified level series.  The census suite checks it against
-    its product form."""
+    """Growth series of the whole group, S X_0 + S X_-1 W/(1 - x W) with S
+    the subgroup series and X_0, X_-1 the certified level series.  Since
+    X_0 = q_hat/((1 - x W) D) and X_-1 = p_hat/D, with D = 1 - x^2 W, the
+    sum is S (q_hat + p_hat W) / ((1 - x W) D), reduced against the
+    subgroup denominator, 1 - x W and D one factor at a time.  The census
+    suite checks it against its product form."""
     _check_rank(m)
     s = subgroup_series(m)
     ls = level_series(m)
     w = suffix_poly(m)
-    return rf_add(
-        rf_mul(s, ls.X_0),
-        rf_mul(rf_mul(s, ls.X_minus1), rf_normalize(w, ONE - w.shift(1))),
+    return rf_reduce(
+        s.num * (ls.q_hat + ls.p_hat * w),
+        (s.den, ONE - w.shift(1), _block_denominator(m)),
     )
 
 

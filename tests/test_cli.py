@@ -250,6 +250,25 @@ def test_verify_json_bytes_are_pinned(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
 
 
+# sha256 of the --output json stdout of census and series runs, recorded
+# when every census horizon ran its own stem pass and full_series summed
+# its level-series terms with rf_add and rf_mul
+JSON_DIGESTS = {
+    "census --m 30 --rmax 3": "1ccbb866f90c74ce22ed8c22086d57a1d185f589806a28d9c4874890baf43ee5",
+    "census --m 12 --rmax 24": "af29f2a8c01500bde5e19b6a73da2f1b6466d499a33a95cb38d32c9f2047ee18",
+    "series --kind full --m 12 --rational": (
+        "6f0cc515193d644702b9732115c4c9a5e90c6e0b514b14a7fe62d1372d83b774"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_DIGESTS))
+def test_json_bytes_are_pinned(capsys, command):
+    rc, out, _ = run_main(capsys, *command.split(), "--output", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[command]
+
+
 def test_language_suite_honours_the_budget(monkeypatch, capsys):
     monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
     rc, _, err = run_main(capsys, "verify", "--suite", "language", "--m", "2")

@@ -13,9 +13,11 @@ from collections import Counter
 
 import pytest
 
+from horogrowth import growth
 from horogrowth.errors import BudgetError, FitError
 from horogrowth.geodesic import cap_words, suffix_words, word_length
 from horogrowth.growth import (
+    CENSUS_RMAX,
     RANK_CAP,
     STEM_DEPTH_CAP,
     CosetCensus,
@@ -36,6 +38,7 @@ from horogrowth.series import (
     ONE,
     X,
     poly,
+    rf_add,
     rf_mul,
     rf_normalize,
     rf_sub,
@@ -361,6 +364,33 @@ def test_coset_census_digests(m):
     assert json_digest(coset_census(m, 24).to_json()) == CENSUS_DIGESTS[m]
 
 
+def direct_stem_pass(m: int, rmax: int) -> dict[int, tuple[int, ...]]:
+    """The stem table at horizon rmax by its own pass, on whole polynomials
+    cut at x^rmax after each step: the reference that slices of a rank's
+    shared table must equal."""
+    xw = suffix_poly(m).shift(1)
+    table = {-n: [0] * n + [1] + [0] * (rmax - n) for n in range(rmax + 1)}
+    stems = IntPolynomial()
+    for d in range(rmax - 1, -rmax - 1, -1):
+        stems = stems * xw
+        if d >= -1:
+            stems = stems + (xw - X if d >= 0 else xw).shift(d + 1)
+        stems = IntPolynomial(stems.coeffs[: rmax + 1])
+        col = table[-max(0, d)]
+        for r, cnt in enumerate(stems.coeffs):
+            col[r] += cnt
+    return {level: tuple(col) for level, col in table.items()}
+
+
+SLICED_RADII = {**{m: range(CENSUS_RMAX + 1) for m in range(1, 7)}, 30: (0, 3, 24)}
+
+
+@pytest.mark.parametrize("m", sorted(SLICED_RADII))
+def test_coset_census_slices_equal_a_direct_pass(m):
+    for rmax in SLICED_RADII[m]:
+        assert coset_census(m, rmax).columns == direct_stem_pass(m, rmax), rmax
+
+
 def test_coset_census_horizon_cap():
     with pytest.raises(BudgetError):
         coset_census(1, 25)
@@ -395,6 +425,25 @@ def test_level_series_digest_at_the_rank_cap():
     assert json_digest(obj) == (
         "ce9b8fab2851fde7615c76c6c09558350a13c479d99e9383eee9637c81cc6cff"
     )
+
+
+@pytest.fixture
+def fresh_level_series():
+    level_series.cache_clear()
+    full_series.cache_clear()
+    yield
+    level_series.cache_clear()
+    full_series.cache_clear()
+
+
+@pytest.mark.parametrize("m", [1, 7])
+def test_full_series_needs_a_certified_level_series(monkeypatch, fresh_level_series, m):
+    table = growth._stem_columns(m)
+    broken = list(table[-1])
+    broken[3] += 1
+    monkeypatch.setattr(growth, "_stem_columns", lambda rank: {**table, -1: tuple(broken)})
+    with pytest.raises(FitError):
+        full_series(m)
 
 
 def test_level_series_prefix_goldens():
@@ -482,6 +531,16 @@ def test_full_series_equals_assembled_product(m):
         ),
     )
     assert full_series(m) == expected
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_full_series_equals_the_level_series_sum(m):
+    # the additive assembly that the factored reduction replaced
+    s, ls = subgroup_series(m), level_series(m)
+    climb = rf_normalize(suffix_poly(m), one_minus_xw(m))
+    assert full_series(m) == rf_add(
+        rf_mul(s, ls.X_0), rf_mul(rf_mul(s, ls.X_minus1), climb)
+    )
 
 
 def test_published_full_form_diagnostics():
