@@ -4,11 +4,12 @@ Brute-force enumeration of the Cayley graph
 
 Breadth-first search over exact group elements is the package's
 certificate: every closed form is replayed against sphere counts that
-never touch a formula.  The counts are taken on orbits of the signed
-coordinate permutations, automorphisms of the group that fix e and
-permute the generators, each orbit weighing its size; the enumeration of
-every element gives distances, and certifies the orbit counts in the
-tests.
+never touch a formula.  One search, which stores each state's distance
+from e, runs over two state spaces.  The counts are taken on orbits of
+the signed coordinate permutations, automorphisms of the group that fix
+e and permute the generators, each orbit weighing its size; the
+enumeration of every element gives distances, and certifies the orbit
+counts in the tests.
 """
 
 from horogrowth import (

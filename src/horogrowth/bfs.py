@@ -4,20 +4,20 @@ This is the brute-force certificate for the closed-form series: sphere
 sizes, geodesic distances, coset distances, and relative coset growth
 are measured directly on group elements, never through a formula.
 
-Signed permutations of the coordinates (the hyperoctahedral group B_m, of
-order m! 2^m) are automorphisms of G_m that fix e and permute the
-generators, so every sphere, every coset census and every coset's growth
-is a sum over B_m-orbits.  Counts are therefore taken on a breadth-first
-search of orbit representatives (tee, exp, sorted |nums|), each weighing
-its orbit size m! 2^(nonzeros) / prod mult!.  Distances and balls of
-elements come from the flat enumeration of every element, which is also
-the certificate of the orbit counts in the tests.
-
-Each rank has one of each, in the packed form of ``group``, stepped with
-``group.step`` and grown a sphere at a time on demand.  Radii are capped
-per rank, and stored states are counted against a memory budget
-(HOROGROWTH_BUDGET_MB, default 512): a sphere that would overrun it is
-discarded and BudgetError raised, keeping the whole spheres.
+One breadth-first search, grown a sphere at a time on demand, stores the
+graph distance from e of every state it reaches, over two state spaces
+per rank.  The flat enumeration steps every element, packed as in
+``group``, by every generator; it gives balls and distances, and
+certifies the orbit counts in the tests.  Signed permutations of the
+coordinates (the hyperoctahedral group B_m, of order m! 2^m) are
+automorphisms of G_m that fix e and permute the generators, so every
+sphere, coset census and coset's growth is a sum over B_m-orbits, and
+is counted on the search of orbit representatives (tee, exp, sorted
+|nums|), each weighing its orbit size m! 2^(nonzeros) / prod mult!.
+Radii are capped per rank, and stored states are counted against a
+memory budget (HOROGROWTH_BUDGET_MB, default 512): a sphere that would
+overrun it is discarded and BudgetError raised, keeping the whole
+spheres.
 
 The distance to a lattice element g is a bidirectional search on the flat
 enumeration: it scans the one sphere halfway along the spelled geodesic,
@@ -29,10 +29,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import islice
 from math import factorial
 from operator import sub
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetError
 from .geodesic import word_length
@@ -81,36 +81,25 @@ def _check_radius(m: int, radius: int) -> None:
         )
 
 
-def _grow(enum, m: int, radius: int, state_bytes: int, states: str) -> None:
-    """Grow an enumeration out to radius within the budget, checked on
-    every call against the states it holds."""
-    limit = _budget_bytes() // state_bytes
-    if not enum.grow(radius, limit):
-        raise BudgetError(
-            f"the rank-{m} ball of radius {radius} holds more than the {limit} "
-            f"{states} the memory budget allows (set HOROGROWTH_BUDGET_MB to raise it)"
-        )
+class _Search:
+    """Graph distances from the identity in breadth-first order, over the
+    states that neighbours(state) reaches: the first ends[r] states lie
+    within radius r, and frontier is the last sphere."""
 
-
-class _Enumeration:
-    """Graph distances from the identity in breadth-first order: the first
-    ends[r] elements lie within radius r, and frontier is the last sphere."""
-
-    def __init__(self, m: int):
-        self.moves = _moves(m)
+    def __init__(self, m: int, neighbours: Callable[[GroupElement], list]):
+        self.neighbours = neighbours
         self.frontier = [GroupElement.identity(m)]
         self.dist = {self.frontier[0]: 0}
         self.ends = [1]
 
     def grow(self, radius: int, limit: int) -> bool:
-        """Whether the ball fits in limit states, enumerating out to radius
+        """Whether the ball fits in limit states, searching out to radius
         if so; a sphere that overruns the limit is discarded."""
-        dist = self.dist
+        dist, neighbours = self.dist, self.neighbours
         while len(self.ends) <= radius:
             r = len(self.ends)
             for g in self.frontier:
-                for index, sign in self.moves:
-                    nb = step(g, index, sign)
+                for nb in neighbours(g):
                     if nb not in dist:
                         dist[nb] = r
                 if len(dist) > limit:
@@ -122,7 +111,36 @@ class _Enumeration:
         return self.ends[radius] <= limit
 
 
-_enumeration = lru_cache(maxsize=None)(_Enumeration)
+@lru_cache(maxsize=None)
+def _enumeration(m: int) -> _Search:
+    """Every element, stepped by each of the 2m + 2 generators."""
+    moves = _moves(m)
+    return _Search(m, lambda g: [step(g, index, sign) for index, sign in moves])
+
+
+def _orbit_neighbours(g: GroupElement) -> list[GroupElement]:
+    """The representatives (tee, exp, sorted |nums|) of the B_m-orbits
+    next to the representative g.  Moves that a signed permutation fixing g
+    maps to each other reach one orbit: one move per run of equal
+    |coordinates|, and a single sign on a zero coordinate."""
+    nums = g[2]
+    nbs = [step(g, -1, 1), step(g, -1, -1)]
+    for i, x in enumerate(nums):
+        if i and x == nums[i - 1]:
+            continue
+        nbs.append(step(g, i, 1))
+        if x:
+            nbs.append(step(g, i, -1))
+    return [
+        _pack(GroupElement, (tee, exp, tuple(sorted(map(abs, vec)))))
+        for tee, exp, vec in nbs
+    ]
+
+
+@lru_cache(maxsize=None)
+def _quotient(m: int) -> _Search:
+    """The B_m-orbits, one representative each."""
+    return _Search(m, _orbit_neighbours)
 
 
 def _orbit_size(m: int, values: Sequence[int]) -> int:
@@ -137,95 +155,33 @@ def _orbit_size(m: int, values: Sequence[int]) -> int:
     return size
 
 
-class _Quotient:
-    """B_m-orbits by graph distance from the identity, in breadth-first
-    order: size maps each representative (tee, exp, sorted |nums|) to its
-    orbit size, its first ends[r] orbits lie within radius r, and frontier
-    is the last sphere."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.frontier = [GroupElement.identity(m)]
-        self.size = {self.frontier[0]: 1}
-        self.ends = [1]
-
-    def grow(self, radius: int, limit: int) -> bool:
-        """Whether the quotient ball fits in limit orbits, enumerating out
-        to radius if so; a sphere that overruns the limit is discarded."""
-        size, m = self.size, self.m
-        while len(self.ends) <= radius:
-            for g in self.frontier:
-                # moves that a signed permutation fixing g maps to each other
-                # reach one orbit: one move per run of equal |coordinates|,
-                # and a single sign on a zero coordinate
-                nums = g[2]
-                nbs = [step(g, -1, 1), step(g, -1, -1)]
-                for i, x in enumerate(nums):
-                    if i and x == nums[i - 1]:
-                        continue
-                    nbs.append(step(g, i, 1))
-                    if x:
-                        nbs.append(step(g, i, -1))
-                for tee, exp, vec in nbs:
-                    rep = _pack(GroupElement, (tee, exp, tuple(sorted(map(abs, vec)))))
-                    if rep not in size:
-                        size[rep] = _orbit_size(m, rep[2])
-                if len(size) > limit:
-                    while len(size) > self.ends[-1]:
-                        size.popitem()
-                    return False
-            self.frontier = list(islice(size, self.ends[-1], None))
-            self.ends.append(len(size))
-        return self.ends[radius] <= limit
+def _grow(search: _Search, m: int, radius: int, state_bytes: int, states: str):
+    """(state, distance) for every state of a search within radius, in
+    breadth-first order, grown within the budget, which is checked on every
+    call against the states the search holds."""
+    limit = _budget_bytes() // state_bytes
+    if not search.grow(radius, limit):
+        raise BudgetError(
+            f"the rank-{m} ball of radius {radius} holds more than the {limit} "
+            f"{states} the memory budget allows (set HOROGROWTH_BUDGET_MB to raise it)"
+        )
+    return islice(search.dist.items(), search.ends[radius])
 
 
-_quotient = lru_cache(maxsize=None)(_Quotient)
-
-
-def _orbits(m: int, radius: int) -> Iterator[tuple[tuple[GroupElement, int], int]]:
-    """((representative, orbit size), distance) for every B_m-orbit within
-    radius of the identity, in breadth-first order.  The budget is checked
-    on every call; the radius caps are left to the callers."""
-    quotient = _quotient(m)
-    _grow(quotient, m, radius, _ORBIT_BYTES + _ORBIT_BYTES_PER_COORD * m, "orbit states")
-    ends = quotient.ends
-    dist = chain.from_iterable(
-        repeat(r, ends[r] - (ends[r - 1] if r else 0)) for r in range(radius + 1)
-    )
-    return zip(quotient.size.items(), dist)
-
-
-class _SphereView(Mapping):
-    """Spheres 0..radius of an enumeration, read-only.  items() is an
-    iterator, and like any dict iterator it fails if the enumeration grows."""
-
-    def __init__(self, dist: dict[GroupElement, int], radius: int, size: int):
-        self._dist, self._radius, self._size = dist, radius, size
-
-    def __getitem__(self, g: GroupElement) -> int:
-        d = self._dist[g]
-        if d > self._radius:
-            raise KeyError(g)
-        return d
-
-    def __iter__(self):
-        return islice(self._dist, self._size)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def items(self):
-        return islice(self._dist.items(), self._size)
-
-
-def ball(m: int, radius: int) -> Mapping[GroupElement, int]:
-    """Graph distance from the identity of every element within radius,
-    in breadth-first order (so distances never decrease).  The budget is
-    checked on every call, against the states the ball holds."""
+def ball(m: int, radius: int) -> Iterator[tuple[GroupElement, int]]:
+    """(element, graph distance from the identity) for every element within
+    radius, in breadth-first order (so distances never decrease).  Like any
+    dict iterator, it fails if the enumeration grows before it is read."""
     _check_radius(m, radius)
-    enum = _enumeration(m)
-    _grow(enum, m, radius, _STATE_BYTES + _STATE_BYTES_PER_COORD * m, "states")
-    return _SphereView(enum.dist, radius, enum.ends[radius])
+    model = _STATE_BYTES + _STATE_BYTES_PER_COORD * m
+    return _grow(_enumeration(m), m, radius, model, "states")
+
+
+def _orbits(m: int, radius: int) -> Iterator[tuple[GroupElement, int]]:
+    """(representative, graph distance) for every B_m-orbit within radius,
+    in breadth-first order.  The radius caps are left to the callers."""
+    model = _ORBIT_BYTES + _ORBIT_BYTES_PER_COORD * m
+    return _grow(_quotient(m), m, radius, model, "orbit states")
 
 
 @dataclass(frozen=True)
@@ -237,22 +193,18 @@ class SphereCounts:
     radius: int
     total: tuple[int, ...]
     horocyclic: tuple[int, ...]
-    by_level: Mapping[int, tuple[int, ...]]
+    by_level: dict[int, tuple[int, ...]]
 
 
 def bfs_spheres(m: int, radius: int) -> SphereCounts:
-    """Count elements at each graph distance 0..radius."""
+    """Count elements at each graph distance 0..radius: the orbit sizes
+    summed by distance."""
     _check_radius(m, radius)
-    return _orbit_spheres(m, radius)
-
-
-def _orbit_spheres(m: int, radius: int) -> SphereCounts:
-    """bfs_spheres without the radius caps: the orbit sizes summed by
-    distance."""
     total = [0] * (radius + 1)
     horo = [0] * (radius + 1)
     levels: dict[int, list[int]] = {}
-    for (g, size), r in _orbits(m, radius):
+    for g, r in _orbits(m, radius):
+        size = _orbit_size(m, g.nums)
         total[r] += size
         if is_horocyclic(g):
             horo[r] += size
@@ -275,26 +227,28 @@ def element_distance(m: int, vec: Sequence[int]) -> int:
     so d(s, g) = d(e, g^-1 s), and for the lattice element g the product
     g^-1 s is a translation of s: (tee, exp, nums - vec 3^exp), already in
     canonical form.  The distance is the least d(e, s) + d(e, g^-1 s) over
-    that sphere, unless g itself lies within upper - near.  A sum above
-    upper means word_length is no upper bound, and raises ValueError."""
+    that sphere, unless the enumeration already holds g, whose stored
+    distance is exact.  A distance above upper means word_length is no
+    upper bound, and raises ValueError."""
     if len(vec) != m:
         raise ValueError("vector length does not match the rank")
     upper = word_length(m, vec)
     near = upper // 2
-    direct = ball(m, upper - near).get(GroupElement(0, 0, tuple(vec)))
-    if direct is not None:
-        return direct
+    ball(m, upper - near)  # grown within the caps and the budget
     enum = _enumeration(m)
     dist = enum.dist
-    shifts: dict[int, tuple[int, ...]] = {}
-    best = upper + 1
-    for tee, exp, nums in islice(dist, enum.ends[near - 1] if near else 0, enum.ends[near]):
-        shift = shifts.get(exp)
-        if shift is None:
-            shift = shifts[exp] = tuple(x * 3**exp for x in vec)
-        back = dist.get((tee, exp, tuple(map(sub, nums, shift))))
-        if back is not None and near + back < best:
-            best = near + back
+    best = dist.get(GroupElement(0, 0, tuple(vec)))
+    if best is None:
+        shifts: dict[int, tuple[int, ...]] = {}
+        best = upper + 1
+        sphere = islice(dist, enum.ends[near - 1] if near else 0, enum.ends[near])
+        for tee, exp, nums in sphere:
+            shift = shifts.get(exp)
+            if shift is None:
+                shift = shifts[exp] = tuple(x * 3**exp for x in vec)
+            back = dist.get((tee, exp, tuple(map(sub, nums, shift))))
+            if back is not None and near + back < best:
+                best = near + back
     if best > upper:
         raise ValueError(
             f"word_length gives {upper} for {tuple(vec)}, below its graph distance"
@@ -316,18 +270,12 @@ def _coset_orbit(key):
 
 def coset_distance_census(m: int, radius: int) -> CosetCensus:
     """chi(level, r) measured on the graph: each coset is charged to the
-    distance of its closest element."""
+    distance of its closest element, so each coset orbit is charged its
+    size at the first element orbit that reaches it."""
     _check_radius(m, radius)
-    return _orbit_census(m, radius)
-
-
-def _orbit_census(m: int, radius: int) -> CosetCensus:
-    """coset_distance_census without the radius caps: the cosets of a
-    coset orbit all lie at one distance, so each orbit is charged its size
-    at the first element orbit that reaches it."""
     columns = {level: [0] * (radius + 1) for level in range(0, -(radius + 1), -1)}
     seen = set()
-    for (g, _), r in _orbits(m, radius):
+    for g, r in _orbits(m, radius):
         key = _coset_orbit(coset_key(g))
         if key not in seen:
             seen.add(key)
@@ -352,9 +300,9 @@ def relative_growth(m: int, stem: Word, radius: int) -> list[int]:
     _check_radius(m, span)
     key = _coset_orbit(coset_key(eval_word(stem)))
     per_radius = [0] * (span + 1)
-    for (g, size), r in _orbits(m, span):
+    for g, r in _orbits(m, span):
         if g.tee == key[0] and _coset_orbit(coset_key(g)) == key:
-            per_radius[r] += size
+            per_radius[r] += _orbit_size(m, g.nums)
     first = next(r for r, count in enumerate(per_radius) if count)
     if first != stem.length:
         raise ValueError(

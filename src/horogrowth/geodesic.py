@@ -78,6 +78,8 @@ def spell(m: int, vec: tuple[int, ...]) -> Word:
 
 def word_length(m: int, vec: tuple[int, ...]) -> int:
     """Length of spell(m, vec) without building the word."""
+    if m < 1:
+        raise ValueError("rank m must be at least 1")
     if len(vec) != m:
         raise ValueError("vector length does not match m")
     if not any(vec):
@@ -128,6 +130,8 @@ def cap_words(m: int, indices: tuple[int, ...] | None = None) -> list[Word]:
 
 def level_box(n: int) -> tuple[int, int]:
     """Coordinate bounds (lower, upper) of the level-n shell."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return (3 ** (n + 1) + 1) // 2, (3 ** (n + 2) - 1) // 2
 
 

@@ -115,6 +115,8 @@ def count_words_by_length(machine: GrowthAutomaton, nmax: int) -> list[int]:
 
     Independent of the linear-algebra route: counts label-weighted paths.
     """
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     n = machine.n_states
     # h[k][p] = number of accepted words of length k starting from state p
     h = [[0] * n for _ in range(nmax + 1)]

@@ -168,6 +168,8 @@ class Word:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("rank m must be at least 1")
         for tok in dict.fromkeys(self.tokens):
             if not _valid_token(tok, self.m):
                 raise ValueError(f"invalid token {tok!r} for m={self.m}")

@@ -274,7 +274,7 @@ def verify_language(m: int | None = None) -> dict:
             )
         )
         bad = None
-        for g, dist in distances.items():
+        for g, dist in distances:
             if is_horocyclic(g) and word_length(mm, g.nums) != dist:
                 bad = {
                     "vector": list(g.nums),

@@ -160,7 +160,7 @@ def test_criterion_5_geodesic_language(capsys):
             if w.length != word_length(2, v):
                 problems.append(f"length mismatch at {v}")
                 break
-    for g, dist in ball(2, 8).items():
+    for g, dist in ball(2, 8):
         if is_horocyclic(g) and word_length(2, g.nums) != dist:
             problems.append(f"distance {dist} but word length "
                             f"{word_length(2, g.nums)} at {g.nums}")

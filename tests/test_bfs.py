@@ -25,9 +25,7 @@ from horogrowth.bfs import (
     _coset_orbit,
     _enumeration,
     _moves,
-    _orbit_census,
     _orbit_size,
-    _orbit_spheres,
     _orbits,
     _quotient,
     ball,
@@ -81,7 +79,7 @@ def flat_spheres(m: int, radius: int) -> SphereCounts:
     total = [0] * (radius + 1)
     horo = [0] * (radius + 1)
     levels: dict[int, list[int]] = {}
-    for g, r in ball(m, radius).items():
+    for g, r in ball(m, radius):
         total[r] += 1
         horo[r] += is_horocyclic(g)
         levels.setdefault(min(g.tee, 0), [0] * (radius + 1))[r] += 1
@@ -93,7 +91,7 @@ def flat_census(m: int, radius: int) -> CosetCensus:
     """Each coset_key of the flat ball charged to its closest element."""
     columns = {level: [0] * (radius + 1) for level in range(0, -(radius + 1), -1)}
     seen = set()
-    for g, r in ball(m, radius).items():
+    for g, r in ball(m, radius):
         key = coset_key(g)
         if key not in seen:
             seen.add(key)
@@ -106,7 +104,7 @@ def flat_relative_growth(m: int, stem: Word, radius: int) -> list[int]:
     span = stem.length + radius
     key = coset_key(eval_word(stem))
     per_radius = [0] * (span + 1)
-    for g, r in ball(m, span).items():
+    for g, r in ball(m, span):
         if g.tee == key[0] and coset_key(g) == key:
             per_radius[r] += 1
     return per_radius[stem.length :]
@@ -222,7 +220,7 @@ def test_memory_budget_env(monkeypatch):
 
 
 def test_ball_is_in_breadth_first_order():
-    distances = ball(2, 4)
+    distances = dict(ball(2, 4))
     assert list(distances.values()) == sorted(distances.values())
     for g, d in distances.items():
         near = [distances.get(step(g, *move), 99) for move in _moves(2)]
@@ -262,21 +260,23 @@ def test_budget_overrun_on_a_fresh_enumeration(fresh_enumerations, monkeypatch):
     model = bfs._STATE_BYTES + 2 * bfs._STATE_BYTES_PER_COORD
     assert kept.ends[-1] == len(kept.dist) < 1024 * 1024 // model
     monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
-    grown = list(ball(2, 8).items())
+    grown = list(ball(2, 8))
     assert len(grown) == 46105
     _enumeration.cache_clear()
-    assert list(ball(2, 8).items()) == grown
+    assert list(ball(2, 8)) == grown
 
 
 def test_smaller_balls_survive_growth(fresh_enumerations):
-    small = ball(2, 4)
-    before = list(small.items())
-    assert len(ball(2, 8)) == 46105
-    assert list(small.items()) == before == list(ball(2, 4).items())
-    assert len(small) == len(before) == 1 + 6 + 26 + 98 + 334
-    far = next(g for g, d in ball(2, 8).items() if d == 5)
-    assert small.get(far) is None and far not in small
-    assert list(small.values()) == [d for _, d in before]
+    stale = ball(2, 4)
+    before = list(ball(2, 4))
+    grown = list(ball(2, 8))
+    assert len(grown) == 46105
+    assert grown[: len(before)] == before == list(ball(2, 4))
+    assert len(before) == 1 + 6 + 26 + 98 + 334
+    assert max(d for _, d in before) == 4 and grown[len(before)][1] == 5
+    # a ball read after its enumeration grew fails instead of reading on
+    with pytest.raises(RuntimeError):
+        list(stale)
 
 
 @pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])
@@ -285,7 +285,7 @@ def test_budget_model_covers_the_measured_bytes(fresh_enumerations, m, radius):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        states = len(ball(m, radius))
+        states = sum(1 for _ in ball(m, radius))
         per_state = (tracemalloc.get_traced_memory()[1] - base) / states
     finally:
         tracemalloc.stop()
@@ -321,7 +321,7 @@ def test_coset_orbit_is_invariant_and_sized_like_an_orbit():
     # the cosets met by the signed images of g are exactly the coset orbit
     # of g's key, and they number _orbit_size of its canonical residues
     for m in (1, 2, 3):
-        for g in ball(m, 4):
+        for g, _ in ball(m, 4):
             tee, exp, nums = g
             keys = {
                 coset_key(GroupElement(tee, exp, sigma(nums)))
@@ -351,14 +351,27 @@ def test_relative_growth_matches_a_flat_scan(m, span, stem):
     assert relative_growth(m, word, radius) == flat_relative_growth(m, word, radius)
 
 
+@pytest.mark.parametrize("m,radius", [(1, 10), (2, 8), (3, 6)])
+def test_quotient_stores_the_distance_of_every_element(m, radius):
+    # each element's orbit representative is stored at the element's distance
+    orbits = dict(_orbits(m, radius))
+    reps = set()
+    for g, d in ball(m, radius):
+        rep = (g.tee, g.exp, tuple(sorted(map(abs, g.nums))))
+        assert orbits[rep] == d, g
+        reps.add(rep)
+    assert reps == set(orbits)
+
+
 @pytest.mark.parametrize("m,radius", [(4, 7), (5, 6), (6, 6)])
-def test_orbit_counts_match_the_closed_forms_past_the_caps(m, radius):
+def test_orbit_counts_match_the_closed_forms_past_the_caps(monkeypatch, m, radius):
     # ranks the flat ball never reaches, with repeated nonzero magnitudes
-    counts = _orbit_spheres(m, radius)
+    monkeypatch.setitem(bfs.RADIUS_CAP, m, radius)
+    counts = bfs_spheres(m, radius)
     assert list(counts.total) == list(series_prefix(full_series(m), radius))
     assert list(counts.horocyclic) == list(series_prefix(subgroup_series(m), radius))
-    assert _orbit_census(m, radius) == coset_census(m, radius)
-    reps = [g for (g, size), r in _orbits(m, radius)]
+    assert coset_distance_census(m, radius) == coset_census(m, radius)
+    reps = [g for g, r in _orbits(m, radius)]
     assert any(0 < a == b for g in reps for a, b in zip(g.nums, g.nums[1:]))
 
 
@@ -381,10 +394,10 @@ def test_orbit_budget_overrun_on_a_fresh_quotient(fresh_enumerations, monkeypatc
     # the overrunning sphere is discarded, leaving whole spheres only
     kept = _quotient(2)
     model = bfs._ORBIT_BYTES + 2 * bfs._ORBIT_BYTES_PER_COORD
-    assert kept.ends[-1] == len(kept.size) < 1024 * 1024 // model
+    assert kept.ends[-1] == len(kept.dist) < 1024 * 1024 // model
     monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
     assert bfs_spheres(2, 8) == flat_spheres(2, 8)
-    assert len(kept.size) == 6632  # of the ball's 46,105 elements
+    assert len(kept.dist) == 6632  # of the ball's 46,105 elements
 
 
 @pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])
@@ -459,7 +472,16 @@ def test_element_distance_is_exact_from_an_overestimate(monkeypatch, excess):
 
 def test_element_distance_refuses_an_underestimate(monkeypatch):
     monkeypatch.setattr(bfs, "word_length", lambda m, v: word_length(m, v) - 1)
-    for v in [(1,), (6,), (13,), (4, -3), (10, 16), (3, -2, 1)]:
+    vectors = [(1,), (6,), (13,), (4, -3), (10, 16), (3, -2, 1)]
+    for v in vectors:
+        with pytest.raises(ValueError, match=re.escape(str(v))):
+            element_distance(len(v), v)
+    # once the enumeration holds g, its stored distance is refused as well
+    for v in vectors:
+        ball(len(v), {1: 10, 2: 8, 3: 6}[len(v)])
+    stored = [v for v in vectors if GroupElement(0, 0, v) in _enumeration(len(v)).dist]
+    assert len(stored) == 5
+    for v in stored:
         with pytest.raises(ValueError, match=re.escape(str(v))):
             element_distance(len(v), v)
 
@@ -490,18 +512,19 @@ class _RecordedLookups(dict):
 
 
 @pytest.mark.parametrize("vec", [(9,), (13,), (-40, -6), (7, -11), (-20, -19, -9)])
-def test_distance_search_looks_up_each_translate(monkeypatch, vec):
+def test_distance_search_looks_up_each_translate(fresh_enumerations, monkeypatch, vec):
     # the translate of a sphere state by g^-1 is computed without multiply;
-    # it must be the canonical product itself, or the lookup misses silently
+    # it must be the canonical product itself, or the lookup misses silently.
+    # g itself is looked up first, and lies beyond the fresh enumeration.
     m, near = len(vec), word_length(len(vec), vec) // 2
     enum = _enumeration(m)
     ball(m, word_length(m, vec) - near)
     recorded = _RecordedLookups(enum.dist)
     monkeypatch.setattr(enum, "dist", recorded)
     element_distance(m, vec)
-    ginv = inverse(GroupElement(0, 0, vec))
-    sphere = [s for s, d in ball(m, near).items() if d == near]
-    assert recorded.looked_up == [multiply(ginv, s) for s in sphere]
+    g = GroupElement(0, 0, vec)
+    sphere = [s for s, d in ball(m, near) if d == near]
+    assert recorded.looked_up == [g] + [multiply(inverse(g), s) for s in sphere]
     assert any(s.exp for s in sphere)
 
 

@@ -159,6 +159,14 @@ def test_word_length_hand_values():
     assert word_length(1, (-6,)) == 4
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_word_length_refuses_a_rank_below_one(m):
+    # as spell does, even for the empty vector
+    for vec in [(), (1,)]:
+        with pytest.raises(ValueError, match="rank m must be at least 1"):
+            word_length(m, vec)
+
+
 @given(
     st.lists(st.integers(-(3**40), 3**40), min_size=1, max_size=6)
 )
@@ -201,6 +209,13 @@ def test_cap_words_sizes():
     assert len(cap_words(3)) == 27
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_word_families_refuse_a_rank_below_one(m):
+    for family in (suffix_words, cap_words):
+        with pytest.raises(ValueError, match="rank m must be at least 1"):
+            family(m)
+
+
 # ---------------------------------------------------------------------------
 # level languages
 
@@ -208,6 +223,9 @@ def test_level_box():
     assert level_box(0) == (2, 4)
     assert level_box(1) == (5, 13)
     assert level_box(2) == (14, 40)
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            level_box(n)
 
 
 def test_enumerate_level_m1():

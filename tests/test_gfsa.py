@@ -47,6 +47,13 @@ def test_quadrant_word_counts():
         assert count_words_by_length(m, 6) == [0, 0, 1, 2, 3, 4, 5]
 
 
+def test_word_counts_refuse_a_negative_length():
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match="nmax must be nonnegative"):
+            count_words_by_length(build_quadrant_fsa(), n)
+    assert count_words_by_length(build_quadrant_fsa(), 0) == [0]
+
+
 @pytest.mark.parametrize(
     "m,expected",
     [

@@ -201,6 +201,13 @@ def test_parse_word_errors():
         Word(1, ("a2",))
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_word_refuses_a_rank_below_one(m):
+    for tokens in [(), ("t",), ("a1",)]:
+        with pytest.raises(ValueError, match="rank m must be at least 1"):
+            Word(m, tokens)
+
+
 def test_word_length_and_str():
     w = parse_word("ttabbTBTab", 2)
     assert w.length == 10
