@@ -29,10 +29,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import factorial
 from operator import sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError
 from .geodesic import word_length
@@ -83,11 +83,12 @@ def _check_radius(m: int, radius: int) -> None:
 
 class _Search:
     """Graph distances from the identity in breadth-first order, over the
-    states that neighbours(state) reaches: the first ends[r] states lie
-    within radius r, and frontier is the last sphere."""
+    states that expand(sphere) yields as the neighbours of a sphere: the
+    first ends[r] states lie within radius r, and frontier is the last
+    sphere."""
 
-    def __init__(self, m: int, neighbours: Callable[[GroupElement], list]):
-        self.neighbours = neighbours
+    def __init__(self, m: int, expand: Callable[[list], Iterable[GroupElement]]):
+        self.expand = expand
         self.frontier = [GroupElement.identity(m)]
         self.dist = {self.frontier[0]: 0}
         self.ends = [1]
@@ -95,17 +96,16 @@ class _Search:
     def grow(self, radius: int, limit: int) -> bool:
         """Whether the ball fits in limit states, searching out to radius
         if so; a sphere that overruns the limit is discarded."""
-        dist, neighbours = self.dist, self.neighbours
+        dist = self.dist
         while len(self.ends) <= radius:
             r = len(self.ends)
-            for g in self.frontier:
-                for nb in neighbours(g):
-                    if nb not in dist:
-                        dist[nb] = r
-                if len(dist) > limit:
-                    while len(dist) > self.ends[-1]:
-                        dist.popitem()
-                    return False
+            for nb in self.expand(self.frontier):
+                if nb not in dist:
+                    dist[nb] = r
+                    if len(dist) > limit:
+                        while len(dist) > self.ends[-1]:
+                            dist.popitem()
+                        return False
             self.frontier = list(islice(dist, self.ends[-1], None))
             self.ends.append(len(dist))
         return self.ends[radius] <= limit
@@ -115,7 +115,13 @@ class _Search:
 def _enumeration(m: int) -> _Search:
     """Every element, stepped by each of the 2m + 2 generators."""
     moves = _moves(m)
-    return _Search(m, lambda g: [step(g, index, sign) for index, sign in moves])
+
+    def expand(sphere):
+        for g in sphere:
+            for index, sign in moves:
+                yield step(g, index, sign)
+
+    return _Search(m, expand)
 
 
 def _orbit_neighbours(g: GroupElement) -> list[GroupElement]:
@@ -140,7 +146,7 @@ def _orbit_neighbours(g: GroupElement) -> list[GroupElement]:
 @lru_cache(maxsize=None)
 def _quotient(m: int) -> _Search:
     """The B_m-orbits, one representative each."""
-    return _Search(m, _orbit_neighbours)
+    return _Search(m, lambda sphere: chain.from_iterable(map(_orbit_neighbours, sphere)))
 
 
 def _orbit_size(m: int, values: Sequence[int]) -> int:

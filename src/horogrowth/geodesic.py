@@ -46,13 +46,19 @@ def _expansion(vec) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
 
 
 def _digits_to_word(m: int, top: int, rows, signs) -> Word:
+    # per coordinate, the tokens of a positive and a negative digit
+    pairs = [
+        (f"a{i}", f"A{i}") if sign > 0 else (f"A{i}", f"a{i}")
+        for i, sign in enumerate(signs, start=1)
+    ]
     tokens = ["t"] * top
     for level in range(top, -1, -1):
-        for i in range(m):
-            d = rows[i][level] * signs[i]
-            if d:
-                tok = f"a{i + 1}" if d > 0 else f"A{i + 1}"
-                tokens.extend([tok] * abs(d))
+        for (up, down), row in zip(pairs, rows):
+            d = row[level]
+            if d > 0:
+                tokens += [up] * d
+            elif d:
+                tokens += [down] * -d
         if level:
             tokens.append("T")
     return Word(m, tuple(tokens))

@@ -13,12 +13,19 @@ a plain (tee, exp, nums) tuple is equal to, and hashes like, the element.
 Words use tokens 't', 'T' (its inverse) and 'a<i>', 'A<i>' for the i-th
 lattice generator and its inverse.  For m <= 3 the letters a, b, c and
 their upper-case inverses are accepted and emitted as aliases.  The
-parser also accepts '^k' with an optional sign on any letter; rendering
-never emits '^'.
+parser cuts a text into lexemes, each a token with an optional power '^k'
+(k may carry a sign), skipping the spaces between them, and reads each
+distinct lexeme once; rendering never emits '^'.  Evaluation folds the
+product rule over the tokens in one pass, keeping the coordinates over
+the power of 3 that the lowest letter read so far needs.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetError
@@ -150,14 +157,30 @@ def coset_key(g: GroupElement):
 # words
 
 _ALIASES = "abc"
+# the m <= 3 spelling of every token
+_ALIAS_OF = dict(zip(("t", "T", "a1", "A1", "a2", "A2", "a3", "A3"), "tTaAbBcC"))
+
+# one lexeme per token or run: a generator a<i> or A<i>, or else any one
+# non-space character, with an optional power; findall skips the spaces
+_LEXEME = re.compile(r"\s*((?:[aA]\d+|\S)(?:\^-?\d*)?)")
+# parse_word reads lexemes longer than this (long digit runs) uncached, so
+# that texts from users leave no long strings in the cache
+_CACHED_LEXEME = 24
 
 
+@lru_cache(maxsize=1024)
 def _valid_token(tok: str, m: int) -> bool:
     if tok in ("t", "T"):
         return True
     if len(tok) >= 2 and tok[0] in "aA" and tok[1:].isdigit():
         return 1 <= int(tok[1:]) <= m
     return False
+
+
+@lru_cache(maxsize=1024)
+def _letter(tok: str) -> tuple[int, int]:
+    """(coordinate index, sign) of a valid lattice token."""
+    return int(tok[1:]) - 1, (1 if tok[0] == "a" else -1)
 
 
 @dataclass(frozen=True)
@@ -170,9 +193,9 @@ class Word:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("rank m must be at least 1")
-        for tok in dict.fromkeys(self.tokens):
-            if not _valid_token(tok, self.m):
-                raise ValueError(f"invalid token {tok!r} for m={self.m}")
+        if not all(map(_valid_token, set(self.tokens), repeat(self.m))):
+            bad = next(tok for tok in self.tokens if not _valid_token(tok, self.m))
+            raise ValueError(f"invalid token {bad!r} for m={self.m}")
 
     @property
     def length(self) -> int:
@@ -182,114 +205,117 @@ class Word:
         return format_word(self)
 
 
+@lru_cache(maxsize=1024)
+def _read_lexeme(lexeme: str, m: int) -> tuple[str, int]:
+    """(token, count) of one lexeme, or ValueError naming what is wrong."""
+    base, caret, power = lexeme.partition("^")
+    ch = lexeme[0]
+    if ch in ("t", "T"):
+        up, down, sign = "t", "T", (1 if ch == "t" else -1)
+    elif ch in "aA" and len(base) > 1:
+        # an index with more digits than m is out of range unconverted
+        digits = base[1:].lstrip("0") or "0"
+        idx = int(digits) if len(digits) <= len(str(m)) else 0
+        if not 1 <= idx <= m:
+            shown = digits if len(digits) <= 20 else digits[:20] + "..."
+            raise ValueError(f"generator index {shown} out of range for m={m}")
+        up, down, sign = f"a{idx}", f"A{idx}", (1 if ch == "a" else -1)
+    elif ch.lower() in _ALIASES and m <= 3:
+        idx = _ALIASES.index(ch.lower()) + 1
+        if idx > m:
+            raise ValueError(f"generator {ch!r} out of range for m={m}")
+        up, down, sign = f"a{idx}", f"A{idx}", (1 if ch.islower() else -1)
+    else:
+        raise ValueError(f"unexpected character {ch!r} in word")
+    count = 1
+    if caret:
+        digits = power.lstrip("-")
+        if not digits:
+            raise ValueError("'^' must be followed by an integer")
+        digits = digits.lstrip("0")
+        if len(digits) > len(str(WORD_LENGTH_CAP)):
+            count = WORD_LENGTH_CAP + 1  # over the cap: never converted
+        else:
+            count = int(digits or "0")
+        if power[0] == "-":
+            sign = -sign
+    return (up if sign > 0 else down), count
+
+
 def parse_word(text: str, m: int) -> Word:
     """Parse a word like 'ttabbTBTab' or 't^2a1A3^2' (see module docstring).
 
-    Words longer than WORD_LENGTH_CAP tokens raise BudgetError before any
-    token is built."""
+    The text is cut into lexemes, each a token with an optional power, and
+    each distinct lexeme is read once.  The first bad lexeme raises
+    ValueError, unless the lexemes before it already run past
+    WORD_LENGTH_CAP tokens: words longer than that raise BudgetError
+    before any token is built."""
     if m < 1:
         raise ValueError("rank m must be at least 1")
-    runs: list[tuple[str, int]] = []
-    length = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "t":
-            base, sign = "t", 1
-            i += 1
-        elif ch == "T":
-            base, sign = "t", -1
-            i += 1
-        elif ch in "aA" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            # an index with more digits than m is out of range unconverted
-            digits = text[i + 1 : j].lstrip("0") or "0"
-            idx = int(digits) if len(digits) <= len(str(m)) else 0
-            if not 1 <= idx <= m:
-                shown = digits if len(digits) <= 20 else digits[:20] + "..."
-                raise ValueError(f"generator index {shown} out of range for m={m}")
-            base, sign = f"a{idx}", (1 if ch == "a" else -1)
-            i = j
-        elif ch.lower() in _ALIASES and m <= 3:
-            idx = _ALIASES.index(ch.lower()) + 1
-            if idx > m:
-                raise ValueError(f"generator {ch!r} out of range for m={m}")
-            base, sign = f"a{idx}", (1 if ch.islower() else -1)
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {text[i]!r} in word")
-        count = 1
-        if i < n and text[i] == "^":
-            negative = text[i + 1 : i + 2] == "-"
-            i += 1 + negative
-            j = i
-            if j >= n or not text[j].isdigit():
-                raise ValueError("'^' must be followed by an integer")
-            while j < n and text[j].isdigit():
-                j += 1
-            digits = text[i:j].lstrip("0")
-            if len(digits) > len(str(WORD_LENGTH_CAP)):
-                count = WORD_LENGTH_CAP + 1  # over the cap: never converted
-            else:
-                count = int(digits or "0")
-            if negative:
-                sign = -sign
-            i = j
-        length += count
-        if length > WORD_LENGTH_CAP:
-            raise BudgetError(
-                f"word is longer than the cap of {WORD_LENGTH_CAP} tokens"
-            )
-        if base == "t":
-            tok = "t" if sign > 0 else "T"
-        else:
-            tok = base if sign > 0 else "A" + base[1:]
-        runs.append((tok, count))
+    lexemes = _LEXEME.findall(text)
+    reads = dict.fromkeys(lexemes)
+    read = _read_lexeme
+    if max(map(len, reads), default=0) > _CACHED_LEXEME:
+        read = read.__wrapped__
+    try:
+        for lexeme in reads:
+            reads[lexeme] = read(lexeme, m)
+    except ValueError:
+        # the lexemes before the bad one, all read, may overrun the cap first
+        if sum(reads[x][1] for x in lexemes[: lexemes.index(lexeme)]) > WORD_LENGTH_CAP:
+            raise _too_long() from None
+        raise
+    single = all(count == 1 for _, count in reads.values())
+    if (len(lexemes) if single else sum(reads[x][1] for x in lexemes)) > WORD_LENGTH_CAP:
+        raise _too_long()
+    if single:
+        return Word(m, tuple(map(itemgetter(0), map(reads.__getitem__, lexemes))))
     tokens: list[str] = []
-    for tok, count in runs:
-        tokens.extend([tok] * count)
+    for lexeme in lexemes:
+        tok, count = reads[lexeme]
+        tokens += [tok] * count
     return Word(m, tuple(tokens))
+
+
+def _too_long() -> BudgetError:
+    return BudgetError(f"word is longer than the cap of {WORD_LENGTH_CAP} tokens")
 
 
 def format_word(word: Word) -> str:
     """Render tokens; single letters with case for m <= 3, indexed otherwise."""
     if word.m > 3:
         return "".join(word.tokens)
-    out = []
-    for tok in word.tokens:
-        if tok in ("t", "T"):
-            out.append(tok)
-        else:
-            name = _ALIASES[int(tok[1:]) - 1]
-            out.append(name if tok[0] == "a" else name.upper())
-    return "".join(out)
+    try:
+        return "".join(map(_ALIAS_OF.__getitem__, word.tokens))
+    except KeyError:  # an index written with leading zeros, such as 'a01'
+        return "".join(
+            _ALIAS_OF.get(tok) or _ALIAS_OF[tok[0] + str(int(tok[1:]))]
+            for tok in word.tokens
+        )
 
 
 def eval_word(word: Word) -> GroupElement:
-    """Fold the product rule over the word's tokens: a lattice letter read
-    at height h adds +-3^h to its coordinate.  Heights are shifted by the
-    lowest one, h_min, so the sum stays integral; exp is then -h_min."""
-    h = 0
-    letters = []
+    """Fold the product rule over the word's tokens in one pass: a lattice
+    letter read at height h adds +-3^h to its coordinate.  The sum is kept
+    over 3^exp, where -exp is the lowest height a letter was read at (or 0),
+    so it stays integral: a letter read lower first rescales it by
+    3^(-h-exp)."""
+    nums = [0] * word.m
+    h = exp = 0
     for tok in word.tokens:
         if tok == "t":
             h += 1
         elif tok == "T":
             h -= 1
         else:
-            letters.append((tok, h))
-    low = min([0] + [lh for _, lh in letters])
-    nums = [0] * word.m
-    for tok, lh in letters:
-        term = 3 ** (lh - low)
-        nums[int(tok[1:]) - 1] += term if tok[0] == "a" else -term
-    return _canonical(h, -low, nums)
+            k = h + exp
+            if k < 0:
+                scale = 3**-k
+                nums = [n * scale for n in nums]
+                exp, k = -h, 0
+            index, sign = _letter(tok)
+            nums[index] += sign * 3**k
+    return _canonical(h, exp, nums)
 
 
 def max_height(word: Word) -> int:

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 import signal
+import subprocess
+import sys
 import time
-import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -279,16 +282,33 @@ def test_smaller_balls_survive_growth(fresh_enumerations):
         list(stale)
 
 
+_MEASURE_PEAK = """
+import sys, tracemalloc
+from horogrowth.bfs import _orbits, ball
+tracemalloc.start()
+base = tracemalloc.get_traced_memory()[0]
+tracemalloc.reset_peak()
+states = sum(1 for _ in {search}(*map(int, sys.argv[1:])))
+print(states, (tracemalloc.get_traced_memory()[1] - base) / states)
+"""
+
+
+def fresh_peak_per_state(search: str, m: int, radius: int) -> tuple[int, float]:
+    """(states, tracemalloc peak bytes per state) of a search grown in a
+    fresh interpreter: in this one, tuples that earlier tests freed wait in
+    CPython's free lists, and a search that reuses them shows fewer bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURE_PEAK.format(search=search), str(m), str(radius)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    states, per_state = proc.stdout.split()
+    return int(states), float(per_state)
+
+
 @pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])
-def test_budget_model_covers_the_measured_bytes(fresh_enumerations, m, radius):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        states = sum(1 for _ in ball(m, radius))
-        per_state = (tracemalloc.get_traced_memory()[1] - base) / states
-    finally:
-        tracemalloc.stop()
+def test_budget_model_covers_the_measured_bytes(m, radius):
+    _, per_state = fresh_peak_per_state("ball", m, radius)
     model = bfs._STATE_BYTES + bfs._STATE_BYTES_PER_COORD * m
     # a tenth of headroom over the peak, without refusing balls that fit
     assert 1.1 * per_state <= model <= 1.75 * per_state
@@ -401,15 +421,8 @@ def test_orbit_budget_overrun_on_a_fresh_quotient(fresh_enumerations, monkeypatc
 
 
 @pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])
-def test_orbit_budget_model_covers_the_measured_bytes(fresh_enumerations, m, radius):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        orbits = sum(1 for _ in _orbits(m, radius))
-        per_orbit = (tracemalloc.get_traced_memory()[1] - base) / orbits
-    finally:
-        tracemalloc.stop()
+def test_orbit_budget_model_covers_the_measured_bytes(m, radius):
+    orbits, per_orbit = fresh_peak_per_state("_orbits", m, radius)
     assert orbits == {(2, 8): 6632, (3, 6): 1065}[m, radius]
     model = bfs._ORBIT_BYTES + bfs._ORBIT_BYTES_PER_COORD * m
     # as for the flat states: a tenth of headroom, without refusing what fits
