@@ -4,35 +4,36 @@ This is the brute-force certificate for the closed-form series: sphere
 sizes, geodesic distances, coset distances, and relative coset growth
 are measured directly on group elements, never through a formula.
 
-One breadth-first search, grown a sphere at a time on demand, stores the
-graph distance from e of every state it reaches, over two state spaces
-per rank.  The flat enumeration steps every element, packed as in
-``group``, by every generator; it gives balls and distances, and
-certifies the orbit counts in the tests.  Signed permutations of the
-coordinates (the hyperoctahedral group B_m, of order m! 2^m) are
-automorphisms of G_m that fix e and permute the generators, so every
-sphere, coset census and coset's growth is a sum over B_m-orbits, and
-is counted on the search of orbit representatives (tee, exp, sorted
-|nums|), each weighing its orbit size m! 2^(nonzeros) / prod mult!.
-Radii are capped per rank, and stored states are counted against a
-memory budget (HOROGROWTH_BUDGET_MB, default 512): a sphere that would
-overrun it is discarded and BudgetError raised, keeping the whole
-spheres.
+Signed permutations of the coordinates (the hyperoctahedral group B_m, of
+order m! 2^m) are automorphisms of G_m that fix e and permute the
+generators, so they preserve graph distance.  One breadth-first search
+per rank, grown a sphere at a time on demand, therefore runs on orbit
+representatives (tee, exp, sorted |nums|), stores the graph distance from
+e of each, and serves every question: a sphere, coset census or coset's
+growth is a sum of orbit sizes m! 2^(nonzeros) / prod mult!, and the
+distance of an element is that of its representative.  Radii are capped
+per rank, and stored orbits are counted against a memory budget
+(HOROGROWTH_BUDGET_MB, default 512): a sphere that would overrun it is
+discarded and BudgetError raised, keeping the whole spheres.
 
-The distance to a lattice element g is a bidirectional search on the flat
-enumeration: it scans the one sphere halfway along the spelled geodesic,
-and looks up each state's translate by g^-1 (a shift of its packed
-coordinates, with no group product) among the states near e.
+The distance to a lattice element g = a^vec is a bidirectional search on
+the same quotient: it scans one sphere, two short of halfway along the
+spelled geodesic, and looks up the representative of each state's
+translate by every signed image of g^-1 (a shift of its packed
+coordinates, with no group product).  The split lies past halfway because
+each scanned representative costs one lookup per signed image, so a
+nearer, smaller sphere is cheaper, while the far side is grown once per
+rank and kept.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, permutations, product
 from math import factorial
-from operator import sub
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import mul, sub
+from typing import Iterator, Sequence
 
 from .errors import BudgetError
 from .geodesic import word_length
@@ -42,21 +43,15 @@ from .growth import CosetCensus
 RADIUS_CAP = {1: 12, 2: 9, 3: 7}
 
 _DEFAULT_BUDGET_MB = 512
-# bytes per stored state: at least 1.1 times the tracemalloc peak per state
-# of fresh balls at ranks 1 to 3 (the worst, 196 B, at rank 2, radius 8)
+# bytes per flat state (one element and its distance): nothing in the package
+# stores flat states, and the one reader of this model is
+# perfbench/tracing.measure_ball_memory
 _STATE_BYTES = 180
 _STATE_BYTES_PER_COORD = 20
-# bytes per stored orbit, fitted the same way on fresh quotients at ranks
-# 1 to 3 (the worst, 190 B, at rank 1, radius 12)
+# bytes per stored orbit: at least 1.1 times the tracemalloc peak per orbit
+# of fresh quotients at ranks 1 to 3 (the worst, 190 B, at rank 1, radius 12)
 _ORBIT_BYTES = 200
 _ORBIT_BYTES_PER_COORD = 10
-
-
-def _moves(m: int) -> tuple[tuple[int, int], ...]:
-    """Right-multiplication moves in order a1, A1, ..., am, Am, t, T, as
-    the (index, sign) arguments of group.step."""
-    lattice = tuple((i, s) for i in range(m) for s in (1, -1))
-    return lattice + ((-1, 1), (-1, -1))
 
 
 def _budget_bytes() -> int:
@@ -81,49 +76,6 @@ def _check_radius(m: int, radius: int) -> None:
         )
 
 
-class _Search:
-    """Graph distances from the identity in breadth-first order, over the
-    states that expand(sphere) yields as the neighbours of a sphere: the
-    first ends[r] states lie within radius r, and frontier is the last
-    sphere."""
-
-    def __init__(self, m: int, expand: Callable[[list], Iterable[GroupElement]]):
-        self.expand = expand
-        self.frontier = [GroupElement.identity(m)]
-        self.dist = {self.frontier[0]: 0}
-        self.ends = [1]
-
-    def grow(self, radius: int, limit: int) -> bool:
-        """Whether the ball fits in limit states, searching out to radius
-        if so; a sphere that overruns the limit is discarded."""
-        dist = self.dist
-        while len(self.ends) <= radius:
-            r = len(self.ends)
-            for nb in self.expand(self.frontier):
-                if nb not in dist:
-                    dist[nb] = r
-                    if len(dist) > limit:
-                        while len(dist) > self.ends[-1]:
-                            dist.popitem()
-                        return False
-            self.frontier = list(islice(dist, self.ends[-1], None))
-            self.ends.append(len(dist))
-        return self.ends[radius] <= limit
-
-
-@lru_cache(maxsize=None)
-def _enumeration(m: int) -> _Search:
-    """Every element, stepped by each of the 2m + 2 generators."""
-    moves = _moves(m)
-
-    def expand(sphere):
-        for g in sphere:
-            for index, sign in moves:
-                yield step(g, index, sign)
-
-    return _Search(m, expand)
-
-
 def _orbit_neighbours(g: GroupElement) -> list[GroupElement]:
     """The representatives (tee, exp, sorted |nums|) of the B_m-orbits
     next to the representative g.  Moves that a signed permutation fixing g
@@ -143,10 +95,38 @@ def _orbit_neighbours(g: GroupElement) -> list[GroupElement]:
     ]
 
 
+class _Search:
+    """Graph distances from the identity of the B_m-orbit representatives,
+    in breadth-first order: the first ends[r] lie within radius r, and
+    frontier is the last sphere."""
+
+    def __init__(self, m: int):
+        self.frontier = [GroupElement.identity(m)]
+        self.dist = {self.frontier[0]: 0}
+        self.ends = [1]
+
+    def grow(self, radius: int, limit: int) -> bool:
+        """Whether the ball fits in limit states, searching out to radius
+        if so; a sphere that overruns the limit is discarded."""
+        dist = self.dist
+        while len(self.ends) <= radius:
+            r = len(self.ends)
+            for nb in chain.from_iterable(map(_orbit_neighbours, self.frontier)):
+                if nb not in dist:
+                    dist[nb] = r
+                    if len(dist) > limit:
+                        while len(dist) > self.ends[-1]:
+                            dist.popitem()
+                        return False
+            self.frontier = list(islice(dist, self.ends[-1], None))
+            self.ends.append(len(dist))
+        return self.ends[radius] <= limit
+
+
 @lru_cache(maxsize=None)
 def _quotient(m: int) -> _Search:
-    """The B_m-orbits, one representative each."""
-    return _Search(m, lambda sphere: chain.from_iterable(map(_orbit_neighbours, sphere)))
+    """The one search of rank m."""
+    return _Search(m)
 
 
 def _orbit_size(m: int, values: Sequence[int]) -> int:
@@ -161,33 +141,21 @@ def _orbit_size(m: int, values: Sequence[int]) -> int:
     return size
 
 
-def _grow(search: _Search, m: int, radius: int, state_bytes: int, states: str):
-    """(state, distance) for every state of a search within radius, in
-    breadth-first order, grown within the budget, which is checked on every
-    call against the states the search holds."""
-    limit = _budget_bytes() // state_bytes
+def _orbits(m: int, radius: int) -> Iterator[tuple[GroupElement, int]]:
+    """(representative, graph distance) for every B_m-orbit within radius,
+    in breadth-first order (so distances never decrease), grown within the
+    radius caps and the memory budget, which is checked on every call
+    against the orbits the search holds.  Like any dict iterator, it fails
+    if the search grows before it is read."""
+    _check_radius(m, radius)
+    search = _quotient(m)
+    limit = _budget_bytes() // (_ORBIT_BYTES + _ORBIT_BYTES_PER_COORD * m)
     if not search.grow(radius, limit):
         raise BudgetError(
             f"the rank-{m} ball of radius {radius} holds more than the {limit} "
-            f"{states} the memory budget allows (set HOROGROWTH_BUDGET_MB to raise it)"
+            "orbit states the memory budget allows (set HOROGROWTH_BUDGET_MB to raise it)"
         )
     return islice(search.dist.items(), search.ends[radius])
-
-
-def ball(m: int, radius: int) -> Iterator[tuple[GroupElement, int]]:
-    """(element, graph distance from the identity) for every element within
-    radius, in breadth-first order (so distances never decrease).  Like any
-    dict iterator, it fails if the enumeration grows before it is read."""
-    _check_radius(m, radius)
-    model = _STATE_BYTES + _STATE_BYTES_PER_COORD * m
-    return _grow(_enumeration(m), m, radius, model, "states")
-
-
-def _orbits(m: int, radius: int) -> Iterator[tuple[GroupElement, int]]:
-    """(representative, graph distance) for every B_m-orbit within radius,
-    in breadth-first order.  The radius caps are left to the callers."""
-    model = _ORBIT_BYTES + _ORBIT_BYTES_PER_COORD * m
-    return _grow(_quotient(m), m, radius, model, "orbit states")
 
 
 @dataclass(frozen=True)
@@ -205,11 +173,11 @@ class SphereCounts:
 def bfs_spheres(m: int, radius: int) -> SphereCounts:
     """Count elements at each graph distance 0..radius: the orbit sizes
     summed by distance."""
-    _check_radius(m, radius)
+    orbits = _orbits(m, radius)
     total = [0] * (radius + 1)
     horo = [0] * (radius + 1)
     levels: dict[int, list[int]] = {}
-    for g, r in _orbits(m, radius):
+    for g, r in orbits:
         size = _orbit_size(m, g.nums)
         total[r] += size
         if is_horocyclic(g):
@@ -225,36 +193,54 @@ def bfs_spheres(m: int, radius: int) -> SphereCounts:
 
 def element_distance(m: int, vec: Sequence[int]) -> int:
     """Graph distance from the identity to g = a^vec, for word_length(m, vec)
-    <= 2 * RADIUS_CAP[m], by a bidirectional search on the flat enumeration.
+    <= 2 * RADIUS_CAP[m], by a bidirectional search on the orbit quotient.
 
-    With upper = word_length(m, vec) and near = upper // 2, a geodesic of
-    length at most upper crosses the sphere of radius near at some s with
-    d(s, g) <= upper - near.  Left multiplication is a graph automorphism,
-    so d(s, g) = d(e, g^-1 s), and for the lattice element g the product
-    g^-1 s is a translation of s: (tee, exp, nums - vec 3^exp), already in
-    canonical form.  The distance is the least d(e, s) + d(e, g^-1 s) over
-    that sphere, unless the enumeration already holds g, whose stored
-    distance is exact.  A distance above upper means word_length is no
-    upper bound, and raises ValueError."""
+    With upper = word_length(m, vec), the search is grown to the far radius
+    R = min(upper - upper // 2 + 2, RADIUS_CAP[m], upper), and a geodesic of
+    length at most upper crosses the sphere of radius near = upper - R at
+    some x with d(x, g) <= R.  Left multiplication is a graph automorphism,
+    so d(x, g) = d(e, g^-1 x).  Write x = sigma(s) for a representative s
+    on that sphere and a signed permutation sigma; then g^-1 x is the image
+    under sigma of a^-u s, with u = sigma^-1(vec), and a^-u s is a
+    translation of s: (tee, exp, nums - u 3^exp), already in canonical form.
+    The distance is the least near + d(e, a^-u s) over the sphere and the
+    distinct signed images u of vec, each read off the representative of
+    a^-u s, unless the search already holds g's own representative, whose
+    stored distance is exact.  A distance above upper means word_length is
+    no upper bound, and raises ValueError.
+
+    R lies two spheres past halfway: each representative on the scanned
+    sphere costs one lookup per signed image of vec, and a sphere nearer e
+    holds far fewer representatives, while the far side is grown once per
+    rank and kept.  Split at halfway, the scan costs several times more."""
     if len(vec) != m:
         raise ValueError("vector length does not match the rank")
     upper = word_length(m, vec)
-    near = upper // 2
-    ball(m, upper - near)  # grown within the caps and the budget
-    enum = _enumeration(m)
-    dist = enum.dist
-    best = dist.get(GroupElement(0, 0, tuple(vec)))
+    _check_radius(m, upper - upper // 2)  # the far half of a geodesic of length upper
+    far = min(upper - upper // 2 + 2, RADIUS_CAP[m], upper)
+    near = upper - far
+    _orbits(m, far)  # grown within the budget
+    search = _quotient(m)
+    dist = search.dist
+    best = dist.get((0, 0, tuple(sorted(map(abs, vec)))))
     if best is None:
-        shifts: dict[int, tuple[int, ...]] = {}
+        images = {
+            tuple(map(mul, signs, p))
+            for p in permutations(vec)
+            for signs in product((1, -1), repeat=m)
+        }
+        shifts: dict[int, list[tuple[int, ...]]] = {}
         best = upper + 1
-        sphere = islice(dist, enum.ends[near - 1] if near else 0, enum.ends[near])
+        sphere = islice(dist, search.ends[near - 1] if near else 0, search.ends[near])
         for tee, exp, nums in sphere:
-            shift = shifts.get(exp)
-            if shift is None:
-                shift = shifts[exp] = tuple(x * 3**exp for x in vec)
-            back = dist.get((tee, exp, tuple(map(sub, nums, shift))))
-            if back is not None and near + back < best:
-                best = near + back
+            shifted = shifts.get(exp)
+            if shifted is None:
+                scale = 3**exp
+                shifted = shifts[exp] = [tuple(x * scale for x in u) for u in images]
+            for shift in shifted:
+                back = dist.get((tee, exp, tuple(sorted(map(abs, map(sub, nums, shift))))))
+                if back is not None and near + back < best:
+                    best = near + back
     if best > upper:
         raise ValueError(
             f"word_length gives {upper} for {tuple(vec)}, below its graph distance"
@@ -278,10 +264,10 @@ def coset_distance_census(m: int, radius: int) -> CosetCensus:
     """chi(level, r) measured on the graph: each coset is charged to the
     distance of its closest element, so each coset orbit is charged its
     size at the first element orbit that reaches it."""
-    _check_radius(m, radius)
+    orbits = _orbits(m, radius)
     columns = {level: [0] * (radius + 1) for level in range(0, -(radius + 1), -1)}
     seen = set()
-    for g, r in _orbits(m, radius):
+    for g, r in orbits:
         key = _coset_orbit(coset_key(g))
         if key not in seen:
             seen.add(key)
@@ -303,10 +289,10 @@ def relative_growth(m: int, stem: Word, radius: int) -> list[int]:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     span = stem.length + radius
-    _check_radius(m, span)
+    orbits = _orbits(m, span)
     key = _coset_orbit(coset_key(eval_word(stem)))
     per_radius = [0] * (span + 1)
-    for g, r in _orbits(m, span):
+    for g, r in orbits:
         if g.tee == key[0] and _coset_orbit(coset_key(g)) == key:
             per_radius[r] += _orbit_size(m, g.nums)
     first = next(r for r, count in enumerate(per_radius) if count)

@@ -172,15 +172,18 @@ _CACHED_LEXEME = 24
 def _valid_token(tok: str, m: int) -> bool:
     if tok in ("t", "T"):
         return True
-    if len(tok) >= 2 and tok[0] in "aA" and tok[1:].isdigit():
-        return 1 <= int(tok[1:]) <= m
+    digits = tok[1:]
+    if tok[:1] in ("a", "A") and digits.isascii() and digits.isdigit():
+        # an index with more digits than m is out of range unconverted
+        digits = digits.lstrip("0")
+        return len(digits) <= len(str(m)) and 1 <= int(digits or "0") <= m
     return False
 
 
 @lru_cache(maxsize=1024)
 def _letter(tok: str) -> tuple[int, int]:
     """(coordinate index, sign) of a valid lattice token."""
-    return int(tok[1:]) - 1, (1 if tok[0] == "a" else -1)
+    return int(tok[1:].lstrip("0")) - 1, (1 if tok[0] == "a" else -1)
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,8 @@ class Word:
             raise ValueError("rank m must be at least 1")
         if not all(map(_valid_token, set(self.tokens), repeat(self.m))):
             bad = next(tok for tok in self.tokens if not _valid_token(tok, self.m))
-            raise ValueError(f"invalid token {bad!r} for m={self.m}")
+            shown = repr(bad) if len(bad) <= 21 else repr(bad[:21]) + "..."
+            raise ValueError(f"invalid token {shown} for m={self.m}")
 
     @property
     def length(self) -> int:
@@ -289,7 +293,7 @@ def format_word(word: Word) -> str:
         return "".join(map(_ALIAS_OF.__getitem__, word.tokens))
     except KeyError:  # an index written with leading zeros, such as 'a01'
         return "".join(
-            _ALIAS_OF.get(tok) or _ALIAS_OF[tok[0] + str(int(tok[1:]))]
+            _ALIAS_OF.get(tok) or _ALIAS_OF[tok[0] + tok[1:].lstrip("0")]
             for tok in word.tokens
         )
 

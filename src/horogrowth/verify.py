@@ -19,7 +19,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .bfs import ball, bfs_spheres, coset_distance_census, relative_growth
+from .bfs import _orbits, bfs_spheres, coset_distance_census, relative_growth
 from .errors import FitError
 from .geodesic import (
     check_level_ranges,
@@ -244,7 +244,7 @@ def verify_language(m: int | None = None) -> dict:
             raise ValueError("language checks cover ranks 1 and 2")
         # fetched first, so a budget that refuses the ball refuses at once
         r = _LANG_BALL[mm]
-        distances = ball(mm, r)
+        orbits = _orbits(mm, r)
         upper = level_box(_LANG_LEVELS)[1]
         if mm == 1:
             vectors = [(v,) for v in range(1, upper + 1)]
@@ -274,7 +274,8 @@ def verify_language(m: int | None = None) -> dict:
             )
         )
         bad = None
-        for g, dist in distances:
+        # on orbit representatives: both sides are B_m-invariant
+        for g, dist in orbits:
             if is_horocyclic(g) and word_length(mm, g.nums) != dist:
                 bad = {
                     "vector": list(g.nums),

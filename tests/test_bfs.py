@@ -4,7 +4,8 @@ The independent oracle here enumerates literal words over the generator
 alphabet and evaluates them with the group operations, so the sphere
 counts are certified by a route that never touches the BFS internals.
 The orbit counts behind bfs_spheres, coset_distance_census and
-relative_growth are certified element by element on the flat ball.
+relative_growth, and the distances of element_distance, are certified
+element by element on the flat ball of tests/flat_bfs.py.
 """
 from __future__ import annotations
 
@@ -26,12 +27,10 @@ from horogrowth import bfs, group, growth
 from horogrowth.bfs import (
     SphereCounts,
     _coset_orbit,
-    _enumeration,
-    _moves,
+    _orbit_neighbours,
     _orbit_size,
     _orbits,
     _quotient,
-    ball,
     bfs_spheres,
     coset_distance_census,
     element_distance,
@@ -52,6 +51,8 @@ from horogrowth.group import (
 )
 from horogrowth.growth import CosetCensus, coset_census, full_series, subgroup_series
 from horogrowth.series import poly, rf_mul, rf_normalize, series_prefix
+
+from flat_bfs import flat_ball, representative
 
 
 def brute_spheres(m: int, max_len: int):
@@ -82,7 +83,7 @@ def flat_spheres(m: int, radius: int) -> SphereCounts:
     total = [0] * (radius + 1)
     horo = [0] * (radius + 1)
     levels: dict[int, list[int]] = {}
-    for g, r in ball(m, radius):
+    for g, r in flat_ball(m, radius).items():
         total[r] += 1
         horo[r] += is_horocyclic(g)
         levels.setdefault(min(g.tee, 0), [0] * (radius + 1))[r] += 1
@@ -94,7 +95,7 @@ def flat_census(m: int, radius: int) -> CosetCensus:
     """Each coset_key of the flat ball charged to its closest element."""
     columns = {level: [0] * (radius + 1) for level in range(0, -(radius + 1), -1)}
     seen = set()
-    for g, r in ball(m, radius):
+    for g, r in flat_ball(m, radius).items():
         key = coset_key(g)
         if key not in seen:
             seen.add(key)
@@ -107,7 +108,7 @@ def flat_relative_growth(m: int, stem: Word, radius: int) -> list[int]:
     span = stem.length + radius
     key = coset_key(eval_word(stem))
     per_radius = [0] * (span + 1)
-    for g, r in ball(m, span):
+    for g, r in flat_ball(m, span).items():
         if g.tee == key[0] and coset_key(g) == key:
             per_radius[r] += 1
     return per_radius[stem.length :]
@@ -138,18 +139,13 @@ TOKENS2 = list(GENS2)
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(TOKENS2), max_size=8))
 def test_state_stepping_matches_group_multiplication(tokens):
-    moves = {tok: mv for tok, mv in zip(TOKENS2, _moves(2))}
+    moves = {"a1": (0, 1), "A1": (0, -1), "a2": (1, 1), "A2": (1, -1), "t": (-1, 1), "T": (-1, -1)}
     stepped = multiplied = GroupElement.identity(2)
     for tok in tokens:
         stepped = step(stepped, *moves[tok])
         multiplied = multiply(multiplied, GENS2[tok])
         assert stepped == multiplied
     assert stepped == eval_word(Word(2, tuple(tokens)))
-
-
-def test_move_order_is_generator_index_then_vertical():
-    # a1, A1, a2, A2, t, T
-    assert _moves(2) == ((0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,79 +208,52 @@ def test_budget_caps():
 
 
 def test_memory_budget_env(monkeypatch):
-    ball(2, 8)  # a cached ball must not bypass the budget
+    bfs_spheres(2, 8)  # a cached search must not bypass the budget
     monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
     with pytest.raises(BudgetError):
         bfs_spheres(2, 8)
     with pytest.raises(BudgetError):
-        ball(2, 8)
+        element_distance(2, (-40, -36))  # its far radius is 8
     monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
     assert bfs_spheres(1, 3).total[0] == 1
 
 
 def test_ball_is_in_breadth_first_order():
-    distances = dict(ball(2, 4))
+    distances = dict(_orbits(2, 4))
     assert list(distances.values()) == sorted(distances.values())
     for g, d in distances.items():
-        near = [distances.get(step(g, *move), 99) for move in _moves(2)]
+        near = [distances.get(nb, 99) for nb in _orbit_neighbours(g)]
         assert min(near) == (d - 1 if d else 1)
 
 
 @pytest.fixture
 def fresh_enumerations():
-    """Start from unenumerated graphs and quotients, and leave none half
-    grown."""
-    _enumeration.cache_clear()
+    """Start from unsearched quotients, and leave none half grown."""
     _quotient.cache_clear()
     yield
-    _enumeration.cache_clear()
     _quotient.cache_clear()
 
 
 def _hung(signum, frame):
-    raise TimeoutError("the enumeration is still growing")
-
-
-def test_budget_overrun_on_a_fresh_enumeration(fresh_enumerations, monkeypatch):
-    monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
-    # an enumeration that regrows the discarded sphere would never return
-    previous = signal.signal(signal.SIGALRM, _hung)
-    signal.alarm(10)
-    start = time.perf_counter()
-    try:
-        with pytest.raises(BudgetError):
-            ball(2, 8)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.perf_counter() - start < 1
-    # the overrunning sphere is discarded, leaving whole spheres only
-    kept = _enumeration(2)
-    model = bfs._STATE_BYTES + 2 * bfs._STATE_BYTES_PER_COORD
-    assert kept.ends[-1] == len(kept.dist) < 1024 * 1024 // model
-    monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
-    grown = list(ball(2, 8))
-    assert len(grown) == 46105
-    _enumeration.cache_clear()
-    assert list(ball(2, 8)) == grown
+    raise TimeoutError("the search is still growing")
 
 
 def test_smaller_balls_survive_growth(fresh_enumerations):
-    stale = ball(2, 4)
-    before = list(ball(2, 4))
-    grown = list(ball(2, 8))
-    assert len(grown) == 46105
-    assert grown[: len(before)] == before == list(ball(2, 4))
-    assert len(before) == 1 + 6 + 26 + 98 + 334
+    stale = _orbits(2, 4)
+    before = list(_orbits(2, 4))
+    grown = list(_orbits(2, 8))
+    assert len(grown) == 6632
+    assert grown[: len(before)] == before == list(_orbits(2, 4))
+    assert len(before) == len({representative(g) for g in flat_ball(2, 4)})
     assert max(d for _, d in before) == 4 and grown[len(before)][1] == 5
-    # a ball read after its enumeration grew fails instead of reading on
+    # a ball read after its search grew fails instead of reading on
     with pytest.raises(RuntimeError):
         list(stale)
 
 
 _MEASURE_PEAK = """
 import sys, tracemalloc
-from horogrowth.bfs import _orbits, ball
+from horogrowth.bfs import _orbits
 tracemalloc.start()
 base = tracemalloc.get_traced_memory()[0]
 tracemalloc.reset_peak()
@@ -304,14 +273,6 @@ def fresh_peak_per_state(search: str, m: int, radius: int) -> tuple[int, float]:
     )
     states, per_state = proc.stdout.split()
     return int(states), float(per_state)
-
-
-@pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])
-def test_budget_model_covers_the_measured_bytes(m, radius):
-    _, per_state = fresh_peak_per_state("ball", m, radius)
-    model = bfs._STATE_BYTES + bfs._STATE_BYTES_PER_COORD * m
-    # a tenth of headroom over the peak, without refusing balls that fit
-    assert 1.1 * per_state <= model <= 1.75 * per_state
 
 
 def test_spheres_need_no_closed_form(fresh_enumerations, monkeypatch):
@@ -341,7 +302,7 @@ def test_coset_orbit_is_invariant_and_sized_like_an_orbit():
     # the cosets met by the signed images of g are exactly the coset orbit
     # of g's key, and they number _orbit_size of its canonical residues
     for m in (1, 2, 3):
-        for g, _ in ball(m, 4):
+        for g in flat_ball(m, 4):
             tee, exp, nums = g
             keys = {
                 coset_key(GroupElement(tee, exp, sigma(nums)))
@@ -376,8 +337,8 @@ def test_quotient_stores_the_distance_of_every_element(m, radius):
     # each element's orbit representative is stored at the element's distance
     orbits = dict(_orbits(m, radius))
     reps = set()
-    for g, d in ball(m, radius):
-        rep = (g.tee, g.exp, tuple(sorted(map(abs, g.nums))))
+    for g, d in flat_ball(m, radius).items():
+        rep = representative(g)
         assert orbits[rep] == d, g
         reps.add(rep)
     assert reps == set(orbits)
@@ -385,7 +346,7 @@ def test_quotient_stores_the_distance_of_every_element(m, radius):
 
 @pytest.mark.parametrize("m,radius", [(4, 7), (5, 6), (6, 6)])
 def test_orbit_counts_match_the_closed_forms_past_the_caps(monkeypatch, m, radius):
-    # ranks the flat ball never reaches, with repeated nonzero magnitudes
+    # ranks past the radius caps, with repeated nonzero magnitudes
     monkeypatch.setitem(bfs.RADIUS_CAP, m, radius)
     counts = bfs_spheres(m, radius)
     assert list(counts.total) == list(series_prefix(full_series(m), radius))
@@ -409,15 +370,27 @@ def test_orbit_budget_is_checked_on_every_call(monkeypatch):
 
 def test_orbit_budget_overrun_on_a_fresh_quotient(fresh_enumerations, monkeypatch):
     monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
-    with pytest.raises(BudgetError, match="the rank-2 ball of radius 8 holds more than"):
-        bfs_spheres(2, 8)
+    # a search that regrows the discarded sphere would never return
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError, match="the rank-2 ball of radius 8 holds more than"):
+            bfs_spheres(2, 8)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1
     # the overrunning sphere is discarded, leaving whole spheres only
     kept = _quotient(2)
     model = bfs._ORBIT_BYTES + 2 * bfs._ORBIT_BYTES_PER_COORD
     assert kept.ends[-1] == len(kept.dist) < 1024 * 1024 // model
     monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
+    grown = list(_orbits(2, 8))
     assert bfs_spheres(2, 8) == flat_spheres(2, 8)
     assert len(kept.dist) == 6632  # of the ball's 46,105 elements
+    _quotient.cache_clear()
+    assert list(_orbits(2, 8)) == grown
 
 
 @pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])
@@ -425,12 +398,17 @@ def test_orbit_budget_model_covers_the_measured_bytes(m, radius):
     orbits, per_orbit = fresh_peak_per_state("_orbits", m, radius)
     assert orbits == {(2, 8): 6632, (3, 6): 1065}[m, radius]
     model = bfs._ORBIT_BYTES + bfs._ORBIT_BYTES_PER_COORD * m
-    # as for the flat states: a tenth of headroom, without refusing what fits
+    # a tenth of headroom over the peak, without refusing balls that fit
     assert 1.1 * per_orbit <= model <= 1.75 * per_orbit
 
 
 # ---------------------------------------------------------------------------
 # distances
+
+
+def far_radius(m: int, upper: int) -> int:
+    """The radius that element_distance grows its search to."""
+    return min(upper - upper // 2 + 2, bfs.RADIUS_CAP[m], upper)
 
 
 def test_element_distance_goldens():
@@ -489,10 +467,10 @@ def test_element_distance_refuses_an_underestimate(monkeypatch):
     for v in vectors:
         with pytest.raises(ValueError, match=re.escape(str(v))):
             element_distance(len(v), v)
-    # once the enumeration holds g, its stored distance is refused as well
+    # once the search holds g, its stored distance is refused as well
     for v in vectors:
-        ball(len(v), {1: 10, 2: 8, 3: 6}[len(v)])
-    stored = [v for v in vectors if GroupElement(0, 0, v) in _enumeration(len(v)).dist]
+        list(_orbits(len(v), {1: 10, 2: 8, 3: 6}[len(v)]))
+    stored = [v for v in vectors if representative((0, 0, v)) in _quotient(len(v)).dist]
     assert len(stored) == 5
     for v in stored:
         with pytest.raises(ValueError, match=re.escape(str(v))):
@@ -502,7 +480,7 @@ def test_element_distance_refuses_an_underestimate(monkeypatch):
 def test_distance_search_runs_no_group_product(monkeypatch):
     far = [(-40, -36), (-40, -6), (-20, -19, -9)]
     for v in far:
-        ball(len(v), 6)  # the far half of a geodesic of length 12
+        list(_orbits(len(v), far_radius(len(v), 12)))  # grown by group.step
 
     def product(*args):
         raise AssertionError("the distance search ran a general group product")
@@ -524,21 +502,38 @@ class _RecordedLookups(dict):
         return super().get(key, default)
 
 
-@pytest.mark.parametrize("vec", [(9,), (13,), (-40, -6), (7, -11), (-20, -19, -9)])
+@pytest.mark.parametrize("vec", [(40,), (121,), (-40, -6), (7, -11), (-20, -19, -9)])
 def test_distance_search_looks_up_each_translate(fresh_enumerations, monkeypatch, vec):
-    # the translate of a sphere state by g^-1 is computed without multiply;
-    # it must be the canonical product itself, or the lookup misses silently.
-    # g itself is looked up first, and lies beyond the fresh enumeration.
-    m, near = len(vec), word_length(len(vec), vec) // 2
-    enum = _enumeration(m)
-    ball(m, word_length(m, vec) - near)
-    recorded = _RecordedLookups(enum.dist)
-    monkeypatch.setattr(enum, "dist", recorded)
-    element_distance(m, vec)
-    g = GroupElement(0, 0, vec)
-    sphere = [s for s, d in ball(m, near) if d == near]
-    assert recorded.looked_up == [g] + [multiply(inverse(g), s) for s in sphere]
-    assert any(s.exp for s in sphere)
+    # the translate of a sphere state by a^-u, for each signed image u of
+    # vec, is computed without multiply; its key must be the representative
+    # of the canonical product itself, or the lookup misses silently.
+    # g's own representative is looked up first, and lies beyond the search.
+    m, upper = len(vec), word_length(len(vec), vec)
+    far = far_radius(m, upper)
+    list(_orbits(m, far))
+    search = _quotient(m)
+    recorded = _RecordedLookups(search.dist)
+    monkeypatch.setattr(search, "dist", recorded)
+    assert element_distance(m, vec) == upper
+    sphere = [s for s, d in _orbits(m, upper - far) if d == upper - far]
+    images = {sigma(vec) for sigma in signed_permutations(m)}
+    translates = [
+        representative(multiply(inverse(GroupElement(0, 0, u)), s))
+        for s in sphere
+        for u in images
+    ]
+    assert recorded.looked_up[0] == representative((0, 0, vec))
+    assert sorted(recorded.looked_up[1:]) == sorted(translates)
+    assert any(s.exp for s in sphere) and len(images) > 1
+
+
+def test_element_distance_is_the_flat_distance(fresh_enumerations):
+    # an independent certificate, with no word_length: every horocyclic
+    # element of the flat balls, at its breadth-first distance
+    for m, radius in [(1, 10), (2, 8), (3, 6)]:
+        for g, d in flat_ball(m, radius).items():
+            if is_horocyclic(g):
+                assert element_distance(m, g.nums) == d, g
 
 
 def test_element_distance_budget():

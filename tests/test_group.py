@@ -494,6 +494,27 @@ def test_word_names_its_first_bad_token_in_word_order():
         Word(2, ("t", "a3", "a1", "q", "a3"))
 
 
+@pytest.mark.parametrize(
+    "m,token,shown",
+    [
+        (1, "a" + "1" * 5000, "'a" + "1" * 20 + "'..."),
+        (1, "a\u00b2", "'a\u00b2'"),
+        (3, "a\u0663", "'a\u0663'"),
+    ],
+    ids=["5000-digit index", "superscript two", "arabic-indic three"],
+)
+def test_word_refuses_indices_that_are_not_short_ascii_decimals(m, token, shown):
+    with pytest.raises(ValueError) as caught:
+        Word(m, (token,))
+    assert str(caught.value) == f"invalid token {shown} for m={m}"
+
+
+def test_long_leading_zeros_read_as_their_index():
+    w = Word(2, ("a" + "0" * 5000 + "2", "t"))
+    assert format_word(w) == "bt"
+    assert eval_word(w) == eval_word(Word(2, ("a2", "t")))
+
+
 def test_word_caches_are_bounded():
     for cache in (group._valid_token, group._letter, group._read_lexeme):
         assert cache.cache_info().maxsize == 1024
