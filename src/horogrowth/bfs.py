@@ -45,7 +45,8 @@ RADIUS_CAP = {1: 12, 2: 9, 3: 7}
 _DEFAULT_BUDGET_MB = 512
 # bytes per flat state (one element and its distance): nothing in the package
 # stores flat states, and the one reader of this model is
-# perfbench/tracing.measure_ball_memory
+# perfbench/tracing.measure_ball_memory; the tests check it against the flat
+# search they keep
 _STATE_BYTES = 180
 _STATE_BYTES_PER_COORD = 20
 # bytes per stored orbit: at least 1.1 times the tracemalloc peak per orbit

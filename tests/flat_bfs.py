@@ -8,6 +8,7 @@ certifies its spheres, census, relative growth and distances at ranks 1-3.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from horogrowth.group import GroupElement, step
 
@@ -27,14 +28,15 @@ def flat_ball(m: int, radius: int) -> dict[GroupElement, int]:
     dist = {identity: 0}
     sphere = [identity]
     for r in range(1, radius + 1):
-        grown = []
+        start = len(dist)
         for g in sphere:
             for index, sign in moves(m):
                 nb = step(g, index, sign)
                 if nb not in dist:
                     dist[nb] = r
-                    grown.append(nb)
-        sphere = grown
+        # the new sphere is read off the dict's tail, so no list grows
+        # beside it while the sphere is searched
+        sphere = list(islice(dist, start, None))
     return dist
 
 

@@ -52,7 +52,7 @@ from horogrowth.group import (
 from horogrowth.growth import CosetCensus, coset_census, full_series, subgroup_series
 from horogrowth.series import poly, rf_mul, rf_normalize, series_prefix
 
-from flat_bfs import flat_ball, representative
+from flat_bfs import flat_ball, moves, representative
 
 
 def brute_spheres(m: int, max_len: int):
@@ -148,6 +148,11 @@ def test_state_stepping_matches_group_multiplication(tokens):
     assert stepped == eval_word(Word(2, tuple(tokens)))
 
 
+def test_move_order_is_generator_index_then_vertical():
+    # the flat search's moves: a1, A1, a2, A2, t, T
+    assert moves(2) == ((0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
 # ---------------------------------------------------------------------------
 # spheres
 
@@ -238,6 +243,35 @@ def _hung(signum, frame):
     raise TimeoutError("the search is still growing")
 
 
+def test_budget_overrun_on_a_fresh_enumeration(fresh_enumerations, monkeypatch):
+    # the overrun reached through element_distance, whose far radius here is 8
+    monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
+    vec = (-40, -36)
+    # a search that regrows the discarded sphere would never return
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError, match="the rank-2 ball of radius 8 holds more than"):
+            element_distance(2, vec)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1
+    # the overrunning sphere is discarded, leaving whole spheres only
+    kept = _quotient(2)
+    model = bfs._ORBIT_BYTES + 2 * bfs._ORBIT_BYTES_PER_COORD
+    assert kept.ends[-1] == len(kept.dist) < 1024 * 1024 // model
+    monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
+    distance = element_distance(2, vec)
+    assert distance == word_length(2, vec)
+    grown = list(_orbits(2, 8))
+    # the search grown on from the rollback equals one grown afresh
+    _quotient.cache_clear()
+    assert element_distance(2, vec) == distance
+    assert list(_orbits(2, 8)) == grown
+
+
 def test_smaller_balls_survive_growth(fresh_enumerations):
     stale = _orbits(2, 4)
     before = list(_orbits(2, 4))
@@ -253,6 +287,7 @@ def test_smaller_balls_survive_growth(fresh_enumerations):
 
 _MEASURE_PEAK = """
 import sys, tracemalloc
+from flat_bfs import flat_ball
 from horogrowth.bfs import _orbits
 tracemalloc.start()
 base = tracemalloc.get_traced_memory()[0]
@@ -266,13 +301,23 @@ def fresh_peak_per_state(search: str, m: int, radius: int) -> tuple[int, float]:
     """(states, tracemalloc peak bytes per state) of a search grown in a
     fresh interpreter: in this one, tuples that earlier tests freed wait in
     CPython's free lists, and a search that reuses them shows fewer bytes."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
     proc = subprocess.run(
         [sys.executable, "-c", _MEASURE_PEAK.format(search=search), str(m), str(radius)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     states, per_state = proc.stdout.split()
     return int(states), float(per_state)
+
+
+@pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])
+def test_budget_model_covers_the_measured_bytes(m, radius):
+    # the flat-state model that perfbench reads, against the flat search
+    _, per_state = fresh_peak_per_state("flat_ball", m, radius)
+    model = bfs._STATE_BYTES + bfs._STATE_BYTES_PER_COORD * m
+    # a tenth of headroom over the peak, without refusing balls that fit
+    assert 1.1 * per_state <= model <= 1.75 * per_state
 
 
 def test_spheres_need_no_closed_form(fresh_enumerations, monkeypatch):
