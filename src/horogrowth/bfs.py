@@ -16,6 +16,13 @@ per rank, and stored orbits are counted against a memory budget
 (HOROGROWTH_BUDGET_MB, default 512): a sphere that would overrun it is
 discarded and BudgetError raised, keeping the whole spheres.
 
+The search steps from a representative to the next orbits directly.  A
+t-move keeps the sorted |nums|.  A lattice move adds +-3^k, k = exp + tee,
+to one entry per run of equal |nums| and re-sorts; only a move that
+rescales nums (k < 0) or may make them all divisible by 3 (k = 0 < exp)
+goes through group.step.  A coset key with k = 0 has no residues to
+reduce, so it is already the key of its coset orbit.
+
 The distance to a lattice element g = a^vec is a bidirectional search on
 the same quotient: it scans one sphere, two short of halfway along the
 spelled geodesic, and looks up the representative of each state's
@@ -81,19 +88,34 @@ def _orbit_neighbours(g: GroupElement) -> list[GroupElement]:
     """The representatives (tee, exp, sorted |nums|) of the B_m-orbits
     next to the representative g.  Moves that a signed permutation fixing g
     maps to each other reach one orbit: one move per run of equal
-    |coordinates|, and a single sign on a zero coordinate."""
-    nums = g[2]
-    nbs = [step(g, -1, 1), step(g, -1, -1)]
+    |coordinates|, and a single sign on a zero coordinate.
+
+    A t-move keeps nums, already sorted and nonnegative.  A lattice move
+    adds +-3^k to one entry, k = exp + tee, and keeps exp unless k < 0 (the
+    sum needs the finer denominator 3^-tee) or k = 0 < exp (adding +-1 can
+    make every entry divisible by 3): those moves go through group.step."""
+    tee, exp, nums = g
+    nbs = [_pack(GroupElement, (tee + 1, exp, nums)), _pack(GroupElement, (tee - 1, exp, nums))]
+    k = exp + tee
+    if k < 0 or (k == 0 and exp):
+        for i, x in enumerate(nums):
+            if i and x == nums[i - 1]:
+                continue
+            for sign in (1, -1) if x else (1,):
+                _, e, vec = step(g, i, sign)
+                nbs.append(_pack(GroupElement, (tee, e, tuple(sorted(map(abs, vec))))))
+        return nbs
+    unit = 3**k
     for i, x in enumerate(nums):
         if i and x == nums[i - 1]:
             continue
-        nbs.append(step(g, i, 1))
+        vec = list(nums)
+        vec[i] = x + unit
+        nbs.append(_pack(GroupElement, (tee, exp, tuple(sorted(vec)))))
         if x:
-            nbs.append(step(g, i, -1))
-    return [
-        _pack(GroupElement, (tee, exp, tuple(sorted(map(abs, vec)))))
-        for tee, exp, vec in nbs
-    ]
+            vec[i] = abs(x - unit)
+            nbs.append(_pack(GroupElement, (tee, exp, tuple(sorted(vec)))))
+    return nbs
 
 
 class _Search:
@@ -257,6 +279,8 @@ def _coset_orbit(key):
     """A coset_key made invariant under signed permutations: each residue
     rho mod 3^k becomes min(rho, 3^k - rho), and they are sorted."""
     tee, k, residues = key
+    if not k:  # every residue is 0
+        return key
     q = 3**k
     return tee, k, tuple(sorted(min(x, q - x) for x in residues))
 

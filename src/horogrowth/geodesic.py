@@ -10,6 +10,14 @@ coordinate has lead 0.  Below the lead come the balanced digits of
 level, highest first, separated by single T steps; its length is 2N
 plus the sum of the leads and absolute digits, and it is a geodesic.
 
+The digit rule is one table, built at import: for every residue r mod
+3^6, the six balanced ternary digits of r - 364 and their weight, the
+sum of |digit|.  An integer e is expanded six digits per step as
+e = 729 ((e + 364) // 729) + (r - 364) with r = (e + 364) mod 729, so
+balanced_digits, the expansion behind spell, and word_length, which sums
+weights and builds no digits, all read the same table.  The word is
+emitted a whole level per step, chaining each coordinate's token run.
+
 The level language for descent depth n enumerates, through the same
 digit-matrix emitter, the canonical words for all vectors in the box
 shell [0, (3^(n+2)-1)/2]^m minus [0, (3^(n+1)+1)/2)^m: an ordered set
@@ -19,48 +27,73 @@ free sign vector on the coordinates already started.
 """
 from __future__ import annotations
 
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product, repeat
 
 from .group import Word, eval_word, is_horocyclic, max_height
+
+_flat = chain.from_iterable
+
+
+# Balanced ternary six digits at a time: with r = (e + 364) mod 729, e is
+# 729 ((e + 364) // 729) plus r - 364, a value in [-364, 364] whose six
+# digits (ascending) and weight, the sum of |digit|, are _CHUNK_DIGITS[r]
+# and _CHUNK_WEIGHT[r].  product yields the digit tuples, highest digit
+# first, in increasing value, so reversing each lists -364..364 in order.
+_CHUNK, _HALF = 729, 364
+_CHUNK_DIGITS = [ds[::-1] for ds in product((-1, 0, 1), repeat=6)]
+_CHUNK_WEIGHT = [6 - ds.count(0) for ds in _CHUNK_DIGITS]
 
 
 def balanced_digits(e: int) -> tuple[int, ...]:
     """Balanced ternary digits of e, ascending; empty for 0."""
-    digits = []
+    digits: list[int] = []
     while e:
-        d = ((e + 1) % 3) - 1
-        digits.append(d)
-        e = (e - d) // 3
+        e, r = divmod(e + _HALF, _CHUNK)
+        digits += _CHUNK_DIGITS[r]
+    while digits and not digits[-1]:
+        digits.pop()
     return tuple(digits)
+
+
+def _top(peak: int) -> tuple[int, int]:
+    """The top index N, the least n with 2 peak <= 5 3^n - 1, and 3^N."""
+    top, power = 0, 1
+    while 2 * peak > 5 * power - 1:
+        top, power = top + 1, 3 * power
+    return top, power
 
 
 def _expansion(vec) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """Top index N and, per coordinate v, its lead (2 at index N, or 0)
     and the balanced digits of |v| - lead 3^N below the lead."""
     mags = [abs(v) for v in vec]
-    top, power, peak = 0, 1, max(mags)
-    while 2 * peak > 5 * power - 1:
-        top, power = top + 1, 3 * power
-    leads = [2 if 2 * e > 3 * power - 1 else 0 for e in mags]
-    return top, [(lead, balanced_digits(e - lead * power)) for e, lead in zip(mags, leads)]
+    top, power = _top(max(mags))
+    band = 3 * power - 1
+    return top, [
+        (2, balanced_digits(e - 2 * power)) if 2 * e > band else (0, balanced_digits(e))
+        for e in mags
+    ]
+
+
+@lru_cache(maxsize=1024)
+def _runs(index: int, sign: int) -> tuple[tuple[str, ...], ...]:
+    """The token runs of the digits 0, 1, 2 and -1 (at index -1) of the
+    coordinate index, for a coordinate of the given sign."""
+    up, down = (f"a{index}", f"A{index}") if sign > 0 else (f"A{index}", f"a{index}")
+    return (), (up,), (up, up), (down,)
 
 
 def _digits_to_word(m: int, top: int, rows, signs) -> Word:
-    # per coordinate, the tokens of a positive and a negative digit
-    pairs = [
-        (f"a{i}", f"A{i}") if sign > 0 else (f"A{i}", f"a{i}")
-        for i, sign in enumerate(signs, start=1)
-    ]
+    """The word of digit rows (per coordinate, the digits at indices
+    0..top, in {-1, 0, 1, 2}): t^top, then the levels top..0 separated by
+    T.  Each level chains the coordinates' token runs, and the levels are
+    chained in one pass over the rows read top down."""
+    runs = map(_runs, range(1, m + 1), signs)
+    columns = [map(r.__getitem__, reversed(row)) for r, row in zip(runs, rows)]
     tokens = ["t"] * top
-    for level in range(top, -1, -1):
-        for (up, down), row in zip(pairs, rows):
-            d = row[level]
-            if d > 0:
-                tokens += [up] * d
-            elif d:
-                tokens += [down] * -d
-        if level:
-            tokens.append("T")
+    tokens += _flat(_flat(zip(*columns, repeat(("T",)))))
+    tokens.pop()  # the T after level 0
     return Word(m, tuple(tokens))
 
 
@@ -83,15 +116,26 @@ def spell(m: int, vec: tuple[int, ...]) -> Word:
 
 
 def word_length(m: int, vec: tuple[int, ...]) -> int:
-    """Length of spell(m, vec) without building the word."""
+    """Length of spell(m, vec), summed from the chunk weights without
+    building the word or its digits."""
     if m < 1:
         raise ValueError("rank m must be at least 1")
     if len(vec) != m:
         raise ValueError("vector length does not match m")
     if not any(vec):
         return 0
-    top, coords = _expansion(vec)
-    return 2 * top + sum(lead + sum(map(abs, digits)) for lead, digits in coords)
+    mags = [abs(v) for v in vec]
+    top, power = _top(max(mags))
+    band = 3 * power - 1
+    total = 2 * top
+    for e in mags:
+        if 2 * e > band:
+            e -= 2 * power
+            total += 2
+        while e:
+            e, r = divmod(e + _HALF, _CHUNK)
+            total += _CHUNK_WEIGHT[r]
+    return total
 
 
 # ---------------------------------------------------------------------------

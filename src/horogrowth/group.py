@@ -148,9 +148,12 @@ def coset_key(g: GroupElement):
     key is that denominator's exponent k (clamped at 0; it is the same
     for the whole coset) and nums reduced mod 3^k.
     """
-    k = max(g.exp + g.tee, 0)
+    tee, exp, nums = g
+    k = exp + tee
+    if k <= 0:
+        return tee, 0, (0,) * len(nums)
     q = 3**k
-    return (g.tee, k, tuple(n % q for n in g.nums))
+    return tee, k, tuple(map(q.__rmod__, nums))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +164,9 @@ _ALIASES = "abc"
 _ALIAS_OF = dict(zip(("t", "T", "a1", "A1", "a2", "A2", "a3", "A3"), "tTaAbBcC"))
 
 # one lexeme per token or run: a generator a<i> or A<i>, or else any one
-# non-space character, with an optional power; findall skips the spaces
-_LEXEME = re.compile(r"\s*((?:[aA]\d+|\S)(?:\^-?\d*)?)")
+# non-space character, with an optional power; findall skips the spaces.
+# Indices and powers are ASCII decimals, as Word's token check requires.
+_LEXEME = re.compile(r"\s*((?:[aA][0-9]+|\S)(?:\^-?[0-9]*)?)")
 # parse_word reads lexemes longer than this (long digit runs) uncached, so
 # that texts from users leave no long strings in the cache
 _CACHED_LEXEME = 24
@@ -256,7 +260,9 @@ def parse_word(text: str, m: int) -> Word:
     before any token is built."""
     if m < 1:
         raise ValueError("rank m must be at least 1")
-    lexemes = _LEXEME.findall(text)
+    # a text of letters alone has no index, power or space: each of its
+    # characters is one lexeme
+    lexemes = text if text.isalpha() else _LEXEME.findall(text)
     reads = dict.fromkeys(lexemes)
     read = _read_lexeme
     if max(map(len, reads), default=0) > _CACHED_LEXEME:

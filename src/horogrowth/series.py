@@ -8,16 +8,15 @@ lowest-order nonzero coefficient of den is positive.  Canonical form makes
 equality plain structural equality, so every public constructor goes
 through ``rf_normalize``.
 
-Series prefixes are computed from the denominator's linear recurrence.
-When the denominator has constant term 1 the recurrence stays in int
-arithmetic; otherwise exact Fractions are used and a non-integer
-coefficient raises.
+Series prefixes are computed from the denominator's linear recurrence in
+int arithmetic.  When the denominator's constant term d0 is not 1, each
+coefficient is divided by d0 exactly, and one that d0 does not divide
+raises.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _strip(cs):
@@ -305,10 +304,9 @@ def series_prefix(f: RationalFunction, order: int) -> SeriesPrefix:
         for j in range(1, min(k, len(dc) - 1) + 1):
             acc -= dc[j] * out[k - j]
         if d0 != 1:
-            acc = Fraction(acc, d0)
-            if acc.denominator != 1:
+            acc, rem = divmod(acc, d0)
+            if rem:
                 raise ValueError(f"non-integer series coefficient at x^{k}")
-            acc = int(acc)
         out.append(acc)
     return SeriesPrefix(tuple(out))
 

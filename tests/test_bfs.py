@@ -358,6 +358,53 @@ def test_coset_orbit_is_invariant_and_sized_like_an_orbit():
             assert len(keys) == _orbit_size(m, canonical.pop()[2]), g
 
 
+# the direct orbit step and coset keys against their step-based references:
+# the first versions of _orbit_neighbours, coset_key and _coset_orbit, kept
+# as certificates for the shortcuts
+
+
+def reference_orbit_neighbours(g: GroupElement) -> list[GroupElement]:
+    nums = g[2]
+    nbs = [step(g, -1, 1), step(g, -1, -1)]
+    for i, x in enumerate(nums):
+        if i and x == nums[i - 1]:
+            continue
+        nbs.append(step(g, i, 1))
+        if x:
+            nbs.append(step(g, i, -1))
+    return [
+        group._pack(GroupElement, (tee, exp, tuple(sorted(map(abs, vec)))))
+        for tee, exp, vec in nbs
+    ]
+
+
+def reference_coset_key(g: GroupElement):
+    k = max(g.exp + g.tee, 0)
+    q = 3**k
+    return (g.tee, k, tuple(n % q for n in g.nums))
+
+
+def reference_coset_orbit(key):
+    tee, k, residues = key
+    q = 3**k
+    return tee, k, tuple(sorted(min(x, q - x) for x in residues))
+
+
+@pytest.mark.parametrize("m,radius", [(1, 12), (2, 8), (3, 7)])
+def test_orbit_kernels_match_the_references_on_every_orbit(m, radius):
+    paths = set()
+    for g, _ in _orbits(m, radius):
+        tee, exp, nums = g
+        k = exp + tee
+        paths.add("k < 0" if k < 0 else "k = 0 < exp" if k == 0 and exp else "direct")
+        assert _orbit_neighbours(g) == reference_orbit_neighbours(g), g
+        key = coset_key(g)
+        assert key == reference_coset_key(g), g
+        assert _coset_orbit(key) == reference_coset_orbit(key), g
+    # every branch of the orbit step ran, at negative heights too
+    assert paths == {"k < 0", "k = 0 < exp", "direct"}
+
+
 @pytest.mark.parametrize("m,radius", [(1, 10), (2, 8), (3, 6)])
 def test_orbit_spheres_match_the_flat_ball(m, radius):
     assert bfs_spheres(m, radius) == flat_spheres(m, radius)

@@ -326,6 +326,14 @@ def test_word_parse_error_exit(capsys):
     assert "error" in err
 
 
+def test_a_digit_outside_ascii_is_a_parse_error(capsys):
+    # an Arabic-Indic three is a decimal digit to str.isdigit, not an index
+    rc, out, err = run_main(capsys, "eval", "--m", "3", "--word", "a\u0663")
+    assert rc == 3
+    assert out == ""
+    assert "unexpected character '\u0663'" in err
+
+
 def test_vector_parse_error_exit(capsys):
     rc, _, err = run_main(capsys, "spell", "--m", "2", "--vector", "1;2")
     assert rc == 3

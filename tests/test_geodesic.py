@@ -7,11 +7,15 @@ by hand the same way.
 """
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from horogrowth import geodesic
 from horogrowth.geodesic import (
+    _digits_to_word,
     _expansion,
     balanced_digits,
     cap_words,
@@ -22,7 +26,7 @@ from horogrowth.geodesic import (
     suffix_words,
     word_length,
 )
-from horogrowth.group import GroupElement, eval_word, max_height, parse_word
+from horogrowth.group import GroupElement, Word, eval_word, max_height, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +284,107 @@ def test_enumerate_level_errors():
         enumerate_level(0, 1)
     with pytest.raises(ValueError):
         enumerate_level(1, -1)
+
+
+# ---------------------------------------------------------------------------
+# the table-driven kernels against their digit-at-a-time references
+#
+# The first versions of balanced_digits, _expansion and _digits_to_word,
+# kept as certificates for the chunk table and the level-at-a-time emitter:
+# one digit per step of the balanced ternary recurrence, and one coordinate
+# per step of each level.
+
+
+def reference_balanced_digits(e: int) -> tuple[int, ...]:
+    digits = []
+    while e:
+        d = ((e + 1) % 3) - 1
+        digits.append(d)
+        e = (e - d) // 3
+    return tuple(digits)
+
+
+def reference_expansion(vec):
+    mags = [abs(v) for v in vec]
+    top, power, peak = 0, 1, max(mags)
+    while 2 * peak > 5 * power - 1:
+        top, power = top + 1, 3 * power
+    leads = [2 if 2 * e > 3 * power - 1 else 0 for e in mags]
+    return top, [
+        (lead, reference_balanced_digits(e - lead * power)) for e, lead in zip(mags, leads)
+    ]
+
+
+def reference_digits_to_word(m: int, top: int, rows, signs) -> Word:
+    pairs = [
+        (f"a{i}", f"A{i}") if sign > 0 else (f"A{i}", f"a{i}")
+        for i, sign in enumerate(signs, start=1)
+    ]
+    tokens = ["t"] * top
+    for level in range(top, -1, -1):
+        for (up, down), row in zip(pairs, rows):
+            d = row[level]
+            if d > 0:
+                tokens += [up] * d
+            elif d:
+                tokens += [down] * -d
+        if level:
+            tokens.append("T")
+    return Word(m, tuple(tokens))
+
+
+def reference_spell(vec, top, coords) -> Word:
+    """The parent spell, from vec's reference expansion (top, coords)."""
+    rows = []
+    for lead, digits in coords:
+        row = list(digits) + [0] * (top + 1 - len(digits))
+        row[top] += lead
+        rows.append(row)
+    signs = tuple(-1 if v < 0 else 1 for v in vec)
+    return reference_digits_to_word(len(vec), top, rows, signs)
+
+
+def assert_kernels_match_the_references(vec):
+    m = len(vec)
+    top, coords = reference_expansion(vec)
+    assert _expansion(vec) == (top, coords)
+    word = reference_spell(vec, top, coords)
+    assert spell(m, vec) == word
+    assert word_length(m, vec) == word.length
+
+
+def test_kernels_match_the_references_on_a_box():
+    for e in range(-121, 122):
+        assert balanced_digits(e) == reference_balanced_digits(e)
+    for vec in product(range(-121, 122), repeat=2):
+        if any(vec):
+            assert_kernels_match_the_references(vec)
+
+
+@given(
+    st.lists(st.integers(-(3**40), 3**40), min_size=1, max_size=5).filter(any)
+)
+@settings(max_examples=300, deadline=None)
+@example([3**40, -(3**40)])
+@example([(3**40 - 1) // 2, -((3**40 + 1) // 2), 364, -365, 729])
+def test_kernels_match_the_references_on_large_vectors(vec):
+    assert [balanced_digits(v) for v in vec] == [reference_balanced_digits(v) for v in vec]
+    assert_kernels_match_the_references(tuple(vec))
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in (1, 2, 3) for n in range(4) if (m, n) != (3, 3)]
+)
+def test_level_words_match_the_reference_emitter(monkeypatch, m, n):
+    # (3, 3) holds 1,707,561 words: tens of seconds for each emitter
+    emitted = []
+
+    def record(*args):
+        emitted.append((args, _digits_to_word(*args)))
+        return emitted[-1][1]
+
+    monkeypatch.setattr(geodesic, "_digits_to_word", record)
+    words = enumerate_level(m, n)
+    assert [word for _, word in emitted] == words
+    for args, word in emitted:
+        assert reference_digits_to_word(*args) == word

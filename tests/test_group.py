@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horogrowth import group
@@ -319,6 +319,10 @@ def test_coset_key_separates_cosets(w1, w2):
 _REFERENCE_ALIASES = "abc"
 
 
+def _ascii_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
 def reference_parse_word(text: str, m: int) -> Word:
     if m < 1:
         raise ValueError("rank m must be at least 1")
@@ -337,9 +341,9 @@ def reference_parse_word(text: str, m: int) -> Word:
         elif ch == "T":
             base, sign = "t", -1
             i += 1
-        elif ch in "aA" and i + 1 < n and text[i + 1].isdigit():
+        elif ch in "aA" and i + 1 < n and _ascii_digit(text[i + 1]):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and _ascii_digit(text[j]):
                 j += 1
             digits = text[i + 1 : j].lstrip("0") or "0"
             idx = int(digits) if len(digits) <= len(str(m)) else 0
@@ -361,9 +365,9 @@ def reference_parse_word(text: str, m: int) -> Word:
             negative = text[i + 1 : i + 2] == "-"
             i += 1 + negative
             j = i
-            if j >= n or not text[j].isdigit():
+            if j >= n or not _ascii_digit(text[j]):
                 raise ValueError("'^' must be followed by an integer")
-            while j < n and text[j].isdigit():
+            while j < n and _ascii_digit(text[j]):
                 j += 1
             digits = text[i:j].lstrip("0")
             if len(digits) > len(str(WORD_LENGTH_CAP)):
@@ -433,14 +437,36 @@ def test_parse_word_matches_the_character_reader_at_the_edges(text, m):
     assert _outcome(parse_word, text, m) == _outcome(reference_parse_word, text, m)
 
 
+# letters of every script, with the word alphabet weighted in
+letter_texts = st.text(
+    st.sampled_from("tTaAbBcC") | st.characters(categories=("Lu", "Ll", "Lt", "Lm", "Lo")),
+    max_size=40,
+).filter(str.isalpha)
+
+
+@given(letter_texts, st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+@example("a" * (WORD_LENGTH_CAP + 1), 1)
+@example("ab" * 4001 + "x", 2)
+@example("x" + "a" * (WORD_LENGTH_CAP + 1), 1)
+@example("tAßcé", 3)
+def test_letters_only_texts_read_as_the_lexeme_pattern_cuts_them(text, m):
+    # each letter is one lexeme, and a trailing space sends the same text
+    # through the pattern: both give the same word or the same error
+    assert group._LEXEME.findall(text) == list(text)
+    assert not (text + " ").isalpha()
+    assert _outcome(parse_word, text, m) == _outcome(parse_word, text + " ", m)
+
+
 def test_digits_that_are_not_decimal_are_named_as_bad_characters():
-    # str.isdigit admits superscripts, which int() refuses with a message
-    # naming no part of the word; lexemes take decimal digits only
+    # str.isdigit admits superscripts and other scripts' digits, which
+    # Word's token check refuses; lexemes take ASCII decimal digits only
     with pytest.raises(ValueError, match="unexpected character '²' in word"):
         parse_word("a²", 1)
     with pytest.raises(ValueError, match="'\\^' must be followed by an integer"):
         parse_word("t^²", 1)
-    assert parse_word("a٣^٢", 3).tokens == ("a3", "a3")
+    with pytest.raises(ValueError, match="unexpected character '٣' in word"):
+        parse_word("a٣^٢", 3)
 
 
 def test_a_cap_overrun_before_a_bad_lexeme_is_reported_first():

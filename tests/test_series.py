@@ -215,6 +215,16 @@ def test_series_prefix_errors():
         series_prefix(rf_normalize(ONE, ONE), -1)
 
 
+def test_series_prefix_divides_by_a_constant_term_above_one():
+    # (2 - 2x + 4x^2 - 7x^3)/(2 - x^3) = 1 - x + 2x^2 - 3x^3 - x^4/2 + ...,
+    # expanded by hand: integral through x^3, with negative coefficients
+    f = rf_normalize(poly(2, -2, 4, -7), poly(2, 0, 0, -1))
+    assert f.den.coeffs[0] == 2
+    assert list(series_prefix(f, 3)) == [1, -1, 2, -3]
+    with pytest.raises(ValueError, match=r"non-integer series coefficient at x\^4"):
+        series_prefix(f, 4)
+
+
 def test_series_prefix_container_behaviour():
     s = series_prefix(rf_normalize(poly(3, 1), ONE), 2)
     assert len(s) == 3
