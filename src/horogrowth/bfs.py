@@ -11,7 +11,10 @@ per rank, grown a sphere at a time on demand, therefore runs on orbit
 representatives (tee, exp, sorted |nums|), stores the graph distance from
 e of each, and serves every question: a sphere, coset census or coset's
 growth is a sum of orbit sizes m! 2^(nonzeros) / prod mult!, and the
-distance of an element is that of its representative.  Radii are capped
+distance of an element is that of its representative.  Sphere counts are
+summed once per search: each sphere's elements, lattice elements and
+elements by height bucket are kept beside the search the first time
+bfs_spheres reads that sphere, never while it grows.  Radii are capped
 per rank, and stored orbits are counted against a memory budget
 (HOROGROWTH_BUDGET_MB, default 512): a sphere that would overrun it is
 discarded and BudgetError raised, keeping the whole spheres.
@@ -121,12 +124,15 @@ def _orbit_neighbours(g: GroupElement) -> list[GroupElement]:
 class _Search:
     """Graph distances from the identity of the B_m-orbit representatives,
     in breadth-first order: the first ends[r] lie within radius r, and
-    frontier is the last sphere."""
+    frontier is the last sphere.  spheres[r], once bfs_spheres has read
+    sphere r, is its (elements, lattice elements, {height bucket:
+    elements})."""
 
     def __init__(self, m: int):
         self.frontier = [GroupElement.identity(m)]
         self.dist = {self.frontier[0]: 0}
         self.ends = [1]
+        self.spheres: list[tuple[int, int, dict[int, int]]] = []
 
     def grow(self, radius: int, limit: int) -> bool:
         """Whether the ball fits in limit states, searching out to radius
@@ -195,19 +201,34 @@ class SphereCounts:
 
 def bfs_spheres(m: int, radius: int) -> SphereCounts:
     """Count elements at each graph distance 0..radius: the orbit sizes
-    summed by distance."""
-    orbits = _orbits(m, radius)
-    total = [0] * (radius + 1)
-    horo = [0] * (radius + 1)
-    levels: dict[int, list[int]] = {}
-    for g, r in orbits:
-        size = _orbit_size(m, g.nums)
-        total[r] += size
-        if is_horocyclic(g):
-            horo[r] += size
-        levels.setdefault(min(g.tee, 0), [0] * (radius + 1))[r] += size
-    by_level = {level: tuple(col) for level, col in levels.items()}
-    return SphereCounts(m, radius, tuple(total), tuple(horo), by_level)
+    summed by distance.  Each sphere of the rank's search is summed once,
+    the first time it is asked for, and kept beside the search."""
+    _orbits(m, radius)  # grown within the caps and the budget
+    search = _quotient(m)
+    spheres = search.spheres
+    for r in range(len(spheres), radius + 1):
+        total = horo = 0
+        levels: dict[int, int] = {}
+        for g in islice(search.dist, search.ends[r - 1] if r else 0, search.ends[r]):
+            size = _orbit_size(m, g.nums)
+            total += size
+            if is_horocyclic(g):
+                horo += size
+            level = min(g.tee, 0)
+            levels[level] = levels.get(level, 0) + size
+        spheres.append((total, horo, levels))
+    read = spheres[: radius + 1]
+    by_level: dict[int, list[int]] = {}
+    for r, (_, _, levels) in enumerate(read):
+        for level, size in levels.items():
+            by_level.setdefault(level, [0] * (radius + 1))[r] = size
+    return SphereCounts(
+        m,
+        radius,
+        tuple(total for total, _, _ in read),
+        tuple(horo for _, horo, _ in read),
+        {level: tuple(col) for level, col in by_level.items()},
+    )
 
 
 # ---------------------------------------------------------------------------

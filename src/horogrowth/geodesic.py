@@ -94,7 +94,7 @@ def _digits_to_word(m: int, top: int, rows, signs) -> Word:
     tokens = ["t"] * top
     tokens += _flat(_flat(zip(*columns, repeat(("T",)))))
     tokens.pop()  # the T after level 0
-    return Word(m, tuple(tokens))
+    return Word._trusted(m, tuple(tokens))  # every token is from _runs
 
 
 def spell(m: int, vec: tuple[int, ...]) -> Word:
@@ -104,7 +104,7 @@ def spell(m: int, vec: tuple[int, ...]) -> Word:
     if len(vec) != m:
         raise ValueError("vector length does not match m")
     if not any(vec):
-        return Word(m, ())
+        return Word._trusted(m, ())
     signs = tuple(-1 if v < 0 else 1 for v in vec)
     top, coords = _expansion(vec)
     rows = []
@@ -218,7 +218,7 @@ def _compositions(n: int, q: int):
 def enumerate_level(m: int, n: int) -> list[Word]:
     """All canonical level-n words, via the shared digit-matrix emitter."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise ValueError("rank m must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     coords = tuple(range(m))

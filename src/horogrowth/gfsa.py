@@ -171,6 +171,6 @@ def build_prefix_suffix_machine(m: int) -> GrowthAutomaton:
     block carrying a sign pattern on m generators; its growth is
     1/(1 - x^2 (1+2x)^m)."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise ValueError("rank m must be at least 1")
     label = (poly(1, 2) ** m).shift(2)
     return GrowthAutomaton(1, 0, frozenset({0}), ((0, 0, label),))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -205,6 +205,17 @@ class Word:
             shown = repr(bad) if len(bad) <= 21 else repr(bad[:21]) + "..."
             raise ValueError(f"invalid token {shown} for m={self.m}")
 
+    @classmethod
+    def _trusted(cls, m: int, tokens: tuple[str, ...]) -> "Word":
+        """The word of tokens made without re-checking them.  The tokens must
+        come from the package's own tables, never from outside input, so
+        that they are valid for rank m >= 1 by construction."""
+        word = object.__new__(cls)
+        fields = word.__dict__
+        fields["m"] = m
+        fields["tokens"] = tokens
+        return word
+
     @property
     def length(self) -> int:
         return len(self.tokens)
@@ -278,13 +289,14 @@ def parse_word(text: str, m: int) -> Word:
     single = all(count == 1 for _, count in reads.values())
     if (len(lexemes) if single else sum(reads[x][1] for x in lexemes)) > WORD_LENGTH_CAP:
         raise _too_long()
+    # _read_lexeme range-checks every index, so the tokens need no re-check
     if single:
-        return Word(m, tuple(map(itemgetter(0), map(reads.__getitem__, lexemes))))
+        return Word._trusted(m, tuple(map(itemgetter(0), map(reads.__getitem__, lexemes))))
     tokens: list[str] = []
     for lexeme in lexemes:
         tok, count = reads[lexeme]
         tokens += [tok] * count
-    return Word(m, tuple(tokens))
+    return Word._trusted(m, tuple(tokens))
 
 
 def _too_long() -> BudgetError:
@@ -328,17 +340,13 @@ def eval_word(word: Word) -> GroupElement:
     return _canonical(h, exp, nums)
 
 
+# the height change of each token: +1 for t, -1 for T, 0 for a lattice letter
+_RISE = {"t": 1, "T": -1}
+
+
 def max_height(word: Word) -> int:
     """Largest height over the word's nonempty prefixes (0 for the empty word)."""
-    h = 0
-    best = None
-    for tok in word.tokens:
-        if tok == "t":
-            h += 1
-        elif tok == "T":
-            h -= 1
-        best = h if best is None else max(best, h)
-    return 0 if best is None else best
+    return max(accumulate(map(_RISE.get, word.tokens, repeat(0))), default=0)
 
 
 # ---------------------------------------------------------------------------

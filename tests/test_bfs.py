@@ -337,8 +337,8 @@ def test_spheres_need_no_closed_form(fresh_enumerations, monkeypatch):
 
 
 def test_orbit_size_counts_the_signed_permutations():
-    for m in range(1, 5):
-        for v in itertools.combinations_with_replacement(range(4), m):
+    for m in range(1, 6):
+        for v in itertools.combinations_with_replacement(range(5), m):
             images = {sigma(v) for sigma in signed_permutations(m)}
             assert _orbit_size(m, v) == len(images), v
 
@@ -483,6 +483,36 @@ def test_orbit_budget_overrun_on_a_fresh_quotient(fresh_enumerations, monkeypatc
     assert len(kept.dist) == 6632  # of the ball's 46,105 elements
     _quotient.cache_clear()
     assert list(_orbits(2, 8)) == grown
+
+
+def test_sphere_counts_are_summed_once_per_search(fresh_enumerations):
+    _orbits(2, 8)
+    search = _quotient(2)
+    assert search.spheres == []  # growing the search sums nothing
+    first = bfs_spheres(2, 5)
+    assert len(search.spheres) == 6
+    extended = bfs_spheres(2, 8)
+    assert len(search.spheres) == 9
+    assert bfs_spheres(2, 5) == first == flat_spheres(2, 5)
+    _quotient.cache_clear()
+    assert extended == bfs_spheres(2, 8) == flat_spheres(2, 8)
+
+
+def test_sphere_counts_cover_only_whole_spheres_after_an_overrun(
+    fresh_enumerations, monkeypatch
+):
+    bfs_spheres(2, 5)
+    monkeypatch.setenv("HOROGROWTH_BUDGET_MB", "1")
+    with pytest.raises(BudgetError, match="the rank-2 ball of radius 8 holds more than"):
+        bfs_spheres(2, 8)
+    kept = _quotient(2)
+    assert len(kept.spheres) == 6
+    whole = len(kept.ends) - 1  # the last sphere the budget kept
+    assert whole < 8
+    assert bfs_spheres(2, whole) == flat_spheres(2, whole)
+    assert len(kept.spheres) == whole + 1 == len(kept.ends)
+    monkeypatch.delenv("HOROGROWTH_BUDGET_MB")
+    assert bfs_spheres(2, 8) == flat_spheres(2, 8)
 
 
 @pytest.mark.parametrize("m,radius", [(2, 8), (3, 6)])

@@ -280,10 +280,41 @@ def test_check_level_ranges_report():
 
 
 def test_enumerate_level_errors():
-    with pytest.raises(ValueError):
-        enumerate_level(0, 1)
-    with pytest.raises(ValueError):
+    for m in (0, -1):
+        # the text every other rank check gives
+        with pytest.raises(ValueError, match="^rank m must be at least 1$"):
+            enumerate_level(m, 1)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
         enumerate_level(1, -1)
+
+
+# ---------------------------------------------------------------------------
+# words the package builds from its own tables skip the token check, so
+# each must equal the word the checking constructor makes of its tokens
+
+
+def _package_words(m: int):
+    for vec in product(range(-13, 14), repeat=min(m, 2)):
+        yield spell(m, vec + (5,) * (m - len(vec)))
+    yield spell(m, (0,) * m)
+    yield spell(m, tuple((-3) ** (10 + i) + i for i in range(m)))
+    indexed = [f"t^2a1A{m}^2 T a{m}^-3", f"a{m}^0T^-2a1^01", "", "tT"]
+    indexed += [f"{t}{i}^{k}" for t in "aA" for i in range(1, m + 1) for k in (-2, 1, 3)]
+    letters = "abc"[:m] if m <= 3 else ""
+    aliases = [f"t{letters}T{letters.upper()}", "".join(f"{c}^3{c.upper()}^-2" for c in letters)]
+    for text in indexed + aliases + ["tTtT^3", "T^-1t"]:
+        yield parse_word(text, m)
+    for n in range(2 if m < 5 else 1):
+        yield from enumerate_level(m, n)
+    yield from suffix_words(m)
+    yield from cap_words(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_package_words_pass_the_token_check(m):
+    for w in _package_words(m):
+        assert type(w.tokens) is tuple
+        assert Word(w.m, w.tokens) == w, w
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,13 @@ def test_prefix_suffix_machine_series(m, expected):
     assert g == rf_normalize(1, 1 - poly(0, 0, 1) * w)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_prefix_suffix_machine_refuses_a_rank_below_one(m):
+    # the text every other rank check gives
+    with pytest.raises(ValueError, match="^rank m must be at least 1$"):
+        build_prefix_suffix_machine(m)
+
+
 def test_machine_validation():
     lab = poly(0, 1)
     with pytest.raises(ValueError):

@@ -411,6 +411,27 @@ def reference_eval_word(word: Word) -> GroupElement:
     return group._canonical(h, -low, nums)
 
 
+def reference_max_height(word: Word) -> int:
+    h = 0
+    best = None
+    for tok in word.tokens:
+        if tok == "t":
+            h += 1
+        elif tok == "T":
+            h -= 1
+        best = h if best is None else max(best, h)
+    return 0 if best is None else best
+
+
+@given(st.lists(st.sampled_from(["t", "T", "a1", "A1", "a2", "A2"]), max_size=12))
+@example([])
+@example(["T", "a1", "T"])
+@example(["a1", "A2"])
+def test_max_height_matches_the_prefix_loop(tokens):
+    w = Word(2, tuple(tokens))
+    assert max_height(w) == reference_max_height(w)
+
+
 def _outcome(parse, text, m):
     try:
         return parse(text, m).tokens
