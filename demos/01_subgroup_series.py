@@ -37,8 +37,10 @@ print("R_1 prefix:", series_prefix(prefix_suffix_series(1), 7))
 # at least 1 by word length.
 print("P_3 prefix:", series_prefix(positive_series(3), 8))
 
-# Summing P over coordinate subsets (choose which coordinates are
-# nonzero, with signs) gives the full subgroup series.
+# The digit rule sums the subgroup series in closed form,
+# c^m (1 - x^2)/(1 - x^2 W_m) with c = 1 + 2x + 2x^2.  It also equals the
+# sum of P over coordinate subsets (choose which coordinates are nonzero,
+# with signs), sum_i C(m,i) 2^i P_i, as the tests check.
 for m in (1, 2, 10):
     f = subgroup_series(m)
     print(f"rank {m}: {rf_str(f)}")

@@ -274,27 +274,22 @@ def check_level_ranges(m: int, n: int) -> dict:
     """Evaluate every level-n word and verify the box, distinctness, and
     height claims; evaluation goes through the group product, independent
     of the digit construction."""
+    return _level_ranges(m, n)[0]
+
+
+def _level_ranges(m: int, n: int) -> tuple[dict, list[tuple[int, ...]]]:
+    """check_level_ranges's report, with the evaluated nums of every word."""
     words = enumerate_level(m, n)
     lower, upper = level_box(n)
-    values = []
-    heights_ok = True
-    in_box = True
-    for w in words:
-        g = eval_word(w)
-        v = g.nums
-        if not is_horocyclic(g):
-            in_box = False
-        values.append(v)
-        if not (all(1 <= c <= upper for c in v) and max(v) >= lower):
-            in_box = False
-        if max_height(w) not in (n, n + 1):
-            heights_ok = False
+    elements = [eval_word(w) for w in words]
+    values = [g.nums for g in elements]
     return {
         "m": m,
         "n": n,
         "count": len(words),
         "all_distinct": len(set(values)) == len(values),
-        "all_in_box": in_box,
-        "heights_ok": heights_ok,
+        "all_in_box": all(map(is_horocyclic, elements))
+        and all(min(v) >= 1 and lower <= max(v) <= upper for v in values),
+        "heights_ok": all(max_height(w) in (n, n + 1) for w in words),
         "box": [lower, upper],
-    }
+    }, values

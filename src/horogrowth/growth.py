@@ -26,8 +26,8 @@ from .series import (
 
 # public census horizon cap; deeper tables serve only the level-series check
 CENSUS_RMAX = 24
-# largest rank with closed forms: a cold full_series(30) takes 0.3-0.5 s on
-# a 2-vCPU host, about 12x a cold full_series(15)
+# largest rank with closed forms: a cold full_series(30) takes about 0.04 s
+# on a 2-vCPU host, about 5x a cold full_series(15)
 RANK_CAP = 30
 # largest stem depth of relative_growth_series: at rank 30, depth 24 takes
 # under 1 s and depth 32 about 4 s
@@ -120,14 +120,17 @@ def positive_series(m: int) -> RationalFunction:
 
 @lru_cache(maxsize=None)
 def subgroup_series(m: int) -> RationalFunction:
-    """Growth series of the rank-m lattice subgroup inside the whole group:
-    Q_m + sum_i C(m,i) 2^i num_i D_{i+1}...D_m over Q_m, by Horner's rule."""
+    """Growth series of the rank-m lattice subgroup inside the whole group,
+    c^m (1 - x^2)/D_m with c = 1 + 2x + 2x^2 and D_m = 1 - x^2 W_m.
+
+    word_length(v) = 2N + sum_i w_N(|v_i|), where N, the top index, is the
+    least n with max |v_i| <= (5 3^n - 1)/2.  Over one signed coordinate
+    the sum of x^(w_N) is G_N = c (1+2x)^N on the band |v| <= (5 3^N - 1)/2
+    and G_(N-1) on the band below it, with G_(-1) = 0.  So the vectors of
+    top index exactly N contribute x^(2N) (G_N^m - G_(N-1)^m), and with
+    G_N^m = c^m W_m^N the sum over N is c^m (1 - x^2)/(1 - x^2 W_m)."""
     _check_rank(m)
-    total = ONE
-    for i in range(1, m + 1):
-        num_i = _positive_raw(i)[0]
-        total = total * _block_denominator(i) + math.comb(m, i) * 2**i * num_i
-    return rf_reduce(total, map(_block_denominator, range(1, m + 1)))
+    return rf_reduce(poly(1, 2, 2) ** m * poly(1, 0, -1), (_block_denominator(m),))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +308,9 @@ def full_series(m: int) -> RationalFunction:
 def published_full_form(m: int) -> RationalFunction:
     """Previously published closed forms for the full-group series, kept only
     for diagnostic comparison: their x coefficients contradict the forced
-    sphere count 2m+2, so full_series never uses them."""
+    sphere count 2m+2, so full_series never uses them.  Each is off by one
+    factor: full / published is 1 + 2x + 2x^2 at rank 1, 1/(1 + x + 2x^2) at
+    rank 2."""
     if m == 1:
         return rf_normalize(
             poly(1, 1) * poly(1, -1) ** 2 * poly(1, 1, 2),

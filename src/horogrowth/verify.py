@@ -22,8 +22,7 @@ from importlib import resources
 from .bfs import _orbits, bfs_spheres, coset_distance_census, relative_growth
 from .errors import FitError
 from .geodesic import (
-    check_level_ranges,
-    enumerate_level,
+    _level_ranges,
     level_box,
     spell,
     word_length,
@@ -294,7 +293,7 @@ def verify_language(m: int | None = None) -> dict:
         values = {(1,) * mm}
         count = 1
         for k in range(_LANG_LEVELS + 1):
-            info = check_level_ranges(mm, k)
+            info, nums = _level_ranges(mm, k)
             checks.append(
                 _check(
                     f"rank {mm}: level-{k} words are distinct, in the level "
@@ -303,9 +302,8 @@ def verify_language(m: int | None = None) -> dict:
                     info,
                 )
             )
-            for w in enumerate_level(mm, k):
-                values.add(eval_word(w).nums)
-                count += 1
+            values.update(nums)
+            count += len(nums)
         checks.append(
             _check(
                 f"rank {mm}: levels 0..{_LANG_LEVELS} plus the corner tile "

@@ -240,6 +240,8 @@ VERIFY_DIGESTS = {
     "census": "c373827e122b528a90dbe0250650d9ceef797eae7ce1aa390e267ce8236962a1",
     "census --m 3": "ace5583c22d62a10df61b81e26dba9b0107b61be0e08f237551189fcf8e1a04a",
     "bfs --m 2 --radius 9": "4b73fd28e036c7b3ad4f26786e4893398c405af5fa58edd7e4875691bf96a41d",
+    # recorded when the tiling count enumerated every level a second time
+    "language": "d8ca7232b3e0c814ee0b052395586cf3ca730ed47637d68b31f59324c7227217",
 }
 
 

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -39,6 +40,7 @@ from horogrowth.series import (
     X,
     poly,
     rf_add,
+    rf_div,
     rf_mul,
     rf_normalize,
     rf_sub,
@@ -265,6 +267,52 @@ def test_positive_series_digest_at_the_rank_cap():
     assert rf_digest(positive_series(30)) == (
         "7003689f748ff2eb08be097d37d0eed9e15905cef2cd4db13ae4a2cf982b10aa"
     )
+
+
+def test_subgroup_and_full_series_digests_at_the_rank_cap():
+    # recorded from the orthant-sum assembly that the closed form replaced
+    assert rf_digest(subgroup_series(30)) == (
+        "b71fdb3225601f69b70c04c93ea137117f420cdbc5d1ac45a1295ff08381c273"
+    )
+    assert rf_digest(full_series(30)) == (
+        "94602dc5b5b32b7ba6f38338475e9ed1983c4bcd878fdf9393aa6619d560b984"
+    )
+
+
+@pytest.mark.parametrize("m", range(1, RANK_CAP + 1))
+def test_subgroup_series_is_the_orthant_sum(m):
+    # S_m = sum_i C(m,i) 2^i P_i, with P_i = num_i/(D_1...D_i), summed over
+    # D_1...D_m by Horner's rule and cross-multiplied, so no gcd is taken
+    total = ONE
+    for i in range(1, m + 1):
+        num_i = growth._positive_raw(i)[0]
+        total = total * one_minus_x2w(i) + math.comb(m, i) * 2**i * num_i
+    q = math.prod(map(one_minus_x2w, range(1, m + 1)), start=ONE)
+    s = subgroup_series(m)
+    assert s.num * q == total * s.den
+
+
+def band_sums(m: int, top: int) -> list[IntPolynomial]:
+    """For N = 0..top, the sum of x^(word_length - 2N) over the rank-m
+    vectors of top index N, the least n with max |v_i| <= (5 3^n - 1)/2."""
+    bounds = [(5 * 3**n - 1) // 2 for n in range(top + 1)]
+    index = [
+        next(n for n, b in enumerate(bounds) if e <= b) for e in range(bounds[-1] + 1)
+    ]
+    sums = [[0] * (2 * m * (top + 2) + 1) for _ in range(top + 1)]
+    for v in product(range(-bounds[-1], bounds[-1] + 1), repeat=m):
+        n = index[max(map(abs, v))]
+        sums[n][word_length(m, v) - 2 * n] += 1
+    return [poly(*row) for row in sums]
+
+
+@pytest.mark.parametrize("m,top", [(1, 7), (2, 4)])
+def test_band_lemma(m, top):
+    # the top-index-N vectors count G_N^m - G_(N-1)^m, G_N = c (1+2x)^N, c =
+    # 1 + 2x + 2x^2 and G_(-1) = 0: at N = 0 that is c^m, zero vector included
+    band = [poly(1, 2, 2) * poly(1, 2) ** n for n in range(top + 1)]
+    want = [band[0] ** m] + [band[n] ** m - band[n - 1] ** m for n in range(1, top + 1)]
+    assert band_sums(m, top) == want
 
 
 def test_subgroup_series_rejects_bad_rank():
@@ -550,7 +598,8 @@ def test_published_full_form_diagnostics():
     two = published_full_form(2)
     assert series_prefix(one, 1)[1] == 2
     assert series_prefix(two, 1)[1] == 7
-    assert one != full_series(1)
-    assert two != full_series(2)
+    # each is off by exactly one factor
+    assert rf_div(full_series(1), one) == rf_normalize(poly(1, 2, 2), ONE)
+    assert rf_div(full_series(2), two) == rf_normalize(ONE, poly(1, 1, 2))
     with pytest.raises(ValueError):
         published_full_form(3)
