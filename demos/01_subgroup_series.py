@@ -4,8 +4,11 @@ Growth series of the lattice subgroup
 
 The group is Z^m extended by a stable letter t that cubes the lattice.
 Counting lattice elements by geodesic length in the big group gives a
-rational series, assembled from three ingredients: the suffix
-polynomial W, the cap polynomial V, and the prefix/suffix series R.
+rational series, read off the balanced-ternary digit rule of geodesics:
+one signed coordinate sums to c (1+2x)^N on its band N, and the bands
+form a geometric series in x^2 W.  The demo prints the suffix polynomial
+W, the cap polynomial V, the prefix/suffix series R, the positive-orthant
+series P and the subgroup series.
 """
 
 from horogrowth import (
@@ -34,7 +37,8 @@ print("R_1 =", rf_str(prefix_suffix_series(1)))
 print("R_1 prefix:", series_prefix(prefix_suffix_series(1), 7))
 
 # The positive-orthant series P counts vectors with all coordinates
-# at least 1 by word length.
+# at least 1 by word length.  The same digit rule gives it: a coordinate
+# at least 1 sums to (c (1+2x)^N - 1)/2 on its band N.
 print("P_3 prefix:", series_prefix(positive_series(3), 8))
 
 # The digit rule sums the subgroup series in closed form,

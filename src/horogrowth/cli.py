@@ -107,14 +107,13 @@ def _cmd_series(args) -> int:
     if args.terms > TERMS_CAP:
         raise BudgetError(f"--terms {args.terms} exceeds the supported cap {TERMS_CAP}")
     f = _series_function(args.kind, args.m, args.n)
-    prefix = series_prefix(f, args.terms)
     if args.output == "json":
         obj = {
             "kind": args.kind,
             "m": args.m,
             "terms": args.terms,
             "rational": rf_to_json(f),
-            "prefix": prefix.to_json()["coeffs"],
+            "prefix": series_prefix(f, args.terms).to_json()["coeffs"],
         }
         if args.kind == "B":
             obj["n"] = args.n
@@ -124,7 +123,7 @@ def _cmd_series(args) -> int:
     elif args.rational:
         print(rf_str(f))
     else:
-        print(str(prefix))
+        print(series_prefix(f, args.terms))
     return 0
 
 

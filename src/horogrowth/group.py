@@ -31,7 +31,8 @@ from typing import NamedTuple
 from .errors import BudgetError
 
 # longest word parse_word accepts: 3^8000 has 3,818 digits, so nothing an
-# accepted word evaluates to reaches the 4,300-digit int-to-string limit
+# accepted word evaluates to reaches the 4,300-digit int-to-string limit;
+# it caps the rank too, as a word names at most that many generators
 WORD_LENGTH_CAP = 8000
 
 
@@ -268,9 +269,11 @@ def parse_word(text: str, m: int) -> Word:
     each distinct lexeme is read once.  The first bad lexeme raises
     ValueError, unless the lexemes before it already run past
     WORD_LENGTH_CAP tokens: words longer than that raise BudgetError
-    before any token is built."""
+    before any token is built, as does a rank above WORD_LENGTH_CAP."""
     if m < 1:
         raise ValueError("rank m must be at least 1")
+    if m > WORD_LENGTH_CAP:
+        raise BudgetError(f"rank {m} exceeds the supported cap {WORD_LENGTH_CAP}")
     # a text of letters alone has no index, power or space: each of its
     # characters is one lexeme
     lexemes = text if text.isalpha() else _LEXEME.findall(text)

@@ -18,6 +18,7 @@ from .series import (
     ZERO,
     RationalFunction,
     X,
+    exact_div,
     poly,
     rf_normalize,
     rf_reduce,
@@ -26,8 +27,8 @@ from .series import (
 
 # public census horizon cap; deeper tables serve only the level-series check
 CENSUS_RMAX = 24
-# largest rank with closed forms: a cold full_series(30) takes about 0.04 s
-# on a 2-vCPU host, about 5x a cold full_series(15)
+# largest rank with closed forms: on a 2-vCPU host a cold positive_series(30),
+# the slowest, takes about 0.25 s and a cold full_series(30) about 0.04 s
 RANK_CAP = 30
 # largest stem depth of relative_growth_series: at rank 30, depth 24 takes
 # under 1 s and depth 32 about 4 s
@@ -72,8 +73,8 @@ def cap_poly_recursive(m: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _block_denominator(k: int) -> IntPolynomial:
-    # 1 - x^2 (1+2x)^k
-    return ONE - suffix_poly(k).shift(2)
+    # D_k = 1 - x^2 (1+2x)^k, with D_0 = 1 - x^2
+    return ONE - (poly(1, 2) ** k).shift(2)
 
 
 @lru_cache(maxsize=None)
@@ -84,38 +85,33 @@ def prefix_suffix_series(m: int) -> RationalFunction:
 
 
 @lru_cache(maxsize=None)
-def _positive_raw(m: int) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
-    """Numerator num_m of the positive-orthant series over Q_m = D_1...D_m,
-    with D_k = 1 - x^2 W_k, then Q_m and the boundary term g_m.
-
-    The series sums one term per composition of m, weighted by the
-    multinomial count of ways to split the coordinates into its blocks.
-    Cutting each composition at its last proper prefix sum c turns the sum
-    into a recurrence over block boundaries, with V_a = cap_poly(a):
-
-      h_a   = V_a Q_{a-1} + sum_{c<a} C(a,c) x^(a-c) g_c D_{c+1}...D_{a-1}
-      num_a = x^a Q_a + h_a
-      g_a   = V_a Q_{a-1} + x^2 W_a (h_a - V_a Q_{a-1})
-
-    g_c is h_c with c as an interior boundary, which adds x^2 W_c to every
-    term but the one-block term.  The sum over c runs by Horner's rule.
-    """
-    prev = _positive_raw(m - 1)[1] if m > 1 else ONE
-    lone = cap_poly(m) * prev
-    jumps = ZERO
-    for c in range(1, m):
-        jumps = (jumps * _block_denominator(c)).shift(1)
-        jumps = jumps + math.comb(m, c) * _positive_raw(c)[2]
-    h = lone + jumps.shift(1)
-    den = prev * _block_denominator(m)
-    return den.shift(m) + h, den, lone + (suffix_poly(m) * (h - lone)).shift(2)
+def _orthant_term(j: int) -> IntPolynomial:
+    # T_j = c^j D_0...D_(j-1), the same at every rank
+    if j == 0:
+        return ONE
+    return _orthant_term(j - 1) * _block_denominator(j - 1) * poly(1, 2, 2)
 
 
 @lru_cache(maxsize=None)
 def positive_series(m: int) -> RationalFunction:
-    """Growth series of the lattice vectors with every coordinate >= 1."""
+    """Growth series of the lattice vectors with every coordinate >= 1,
+    (1 - x^2) sum_j C(m,j) (-1)^(m-j) c^j / (2^m D_j) over j = 0..m, with
+    c = 1 + 2x + 2x^2 and D_j = 1 - x^2 W_j.
+
+    By the digit rule (see subgroup_series) one signed coordinate sums
+    x^(w_N) to G_N on its band, the zero once and v, -v alike, so one
+    coordinate >= 1 sums it to P_N = (G_N - 1)/2, and to P_(N-1) on the
+    band below, with P_(-1) = 0.  The vectors of top index exactly N
+    contribute x^(2N) (P_N^m - P_(N-1)^m), which sum over N to
+    (1 - x^2) sum_N x^(2N) P_N^m.  Expanding (2 P_N)^m = (c W_1^N - 1)^m by
+    the binomial theorem, with W_1^(jN) = W_j^N, and summing each geometric
+    series in x^2 W_j gives the form above.  Over D_1...D_m its numerator
+    is one Horner pass in j, acc D_j + C(m,j) (-1)^(m-j) T_j."""
     _check_rank(m)
-    return rf_reduce(_positive_raw(m)[0], map(_block_denominator, range(1, m + 1)))
+    acc = ZERO
+    for j in range(m + 1):
+        acc = acc * _block_denominator(j) + (-1) ** (m - j) * math.comb(m, j) * _orthant_term(j)
+    return rf_reduce(exact_div(acc, 2**m), map(_block_denominator, range(1, m + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -152,6 +152,34 @@ def test_terms_cap_refused_before_any_work(capsys, monkeypatch):
     assert "budget error" in err
 
 
+def test_word_rank_cap_refused_before_any_work(capsys, monkeypatch):
+    # without the rank check this would evaluate to a 10^9-coordinate element
+    def fail(*args):
+        raise AssertionError("word evaluated before the rank check")
+
+    monkeypatch.setattr(cli, "eval_word", fail)
+    rc, out, err = run_main(capsys, "eval", "--m", str(10**9), "--word", "t")
+    assert rc == 3
+    assert out == ""
+    assert "budget error: rank 1000000000 exceeds" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--rational",), ("--output", "latex"), ("--rational", "--output", "latex")],
+    ids=["rational", "latex", "rational-latex"],
+)
+def test_rational_and_latex_outputs_compute_no_prefix(capsys, monkeypatch, flags):
+    def fail(*args):
+        raise AssertionError("prefix computed for an output that omits it")
+
+    monkeypatch.setattr(cli, "series_prefix", fail)
+    argv = ("series", "--kind", "P", "--m", "3", "--terms", str(cli.TERMS_CAP), *flags)
+    rc, out, _ = run_main(capsys, *argv)
+    assert rc == 0
+    assert out.startswith("\\frac" if "latex" in flags else "(")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -175,6 +175,13 @@ def test_parse_word_length_cap():
     assert parse_word("a^" + "0" * 50 + "3", 1).tokens == ("a1",) * 3
 
 
+def test_parse_word_rank_cap():
+    # a one-letter word evaluates to m coordinates, so the rank is capped too
+    assert eval_word(parse_word("a1", WORD_LENGTH_CAP)).nums[0] == 1
+    with pytest.raises(BudgetError, match="rank 8001 exceeds"):
+        parse_word("t", WORD_LENGTH_CAP + 1)
+
+
 def test_parse_word_long_digit_runs():
     # int() sees only short, zero-stripped digits: its 4,300-digit limit
     # would raise a message that names no index

@@ -6,6 +6,7 @@ before the closed forms were implemented.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -38,6 +39,8 @@ from horogrowth.series import (
     IntPolynomial,
     ONE,
     X,
+    ZERO,
+    exact_div,
     poly,
     rf_add,
     rf_div,
@@ -143,6 +146,45 @@ def count_positive_by_length(m: int, nmax: int) -> list[int]:
 
     rec(())
     return counts
+
+
+@functools.lru_cache(maxsize=None)
+def reference_positive_raw(m: int) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
+    """Numerator num_m of the positive-orthant series over Q_m = D_1...D_m,
+    with D_k = 1 - x^2 W_k, then Q_m and the boundary term g_m; a second
+    derivation of positive_series, independent of the digit rule.
+
+    The series sums one term per composition of m, weighted by the
+    multinomial count of ways to split the coordinates into its blocks.
+    Cutting each composition at its last proper prefix sum c turns the sum
+    into a recurrence over block boundaries, with V_a = cap_poly(a):
+
+      h_a   = V_a Q_{a-1} + sum_{c<a} C(a,c) x^(a-c) g_c D_{c+1}...D_{a-1}
+      num_a = x^a Q_a + h_a
+      g_a   = V_a Q_{a-1} + x^2 W_a (h_a - V_a Q_{a-1})
+
+    g_c is h_c with c as an interior boundary, which adds x^2 W_c to every
+    term but the one-block term.  The sum over c runs by Horner's rule.
+    """
+    prev = reference_positive_raw(m - 1)[1] if m > 1 else ONE
+    lone = cap_poly(m) * prev
+    jumps = ZERO
+    for c in range(1, m):
+        jumps = (jumps * one_minus_x2w(c)).shift(1)
+        jumps = jumps + math.comb(m, c) * reference_positive_raw(c)[2]
+    h = lone + jumps.shift(1)
+    den = prev * one_minus_x2w(m)
+    return den.shift(m) + h, den, lone + (suffix_poly(m) * (h - lone)).shift(2)
+
+
+@pytest.mark.parametrize("m", range(1, RANK_CAP + 1))
+def test_positive_series_is_the_composition_recurrence(m):
+    # p.num/p.den == num/Q_m with no gcd taken: the reduced denominator
+    # divides Q_m = D_1...D_m exactly, and the cofactor, of degree m//2, makes
+    # the check far cheaper than p.num * Q_m == num * p.den
+    num, q, _ = reference_positive_raw(m)
+    p = positive_series(m)
+    assert p.num * exact_div(q, p.den) == num
 
 
 def test_positive_series_closed_forms():
@@ -285,22 +327,24 @@ def test_subgroup_series_is_the_orthant_sum(m):
     # D_1...D_m by Horner's rule and cross-multiplied, so no gcd is taken
     total = ONE
     for i in range(1, m + 1):
-        num_i = growth._positive_raw(i)[0]
+        num_i = reference_positive_raw(i)[0]
         total = total * one_minus_x2w(i) + math.comb(m, i) * 2**i * num_i
     q = math.prod(map(one_minus_x2w, range(1, m + 1)), start=ONE)
     s = subgroup_series(m)
     assert s.num * q == total * s.den
 
 
-def band_sums(m: int, top: int) -> list[IntPolynomial]:
+def band_sums(m: int, top: int, positive: bool = False) -> list[IntPolynomial]:
     """For N = 0..top, the sum of x^(word_length - 2N) over the rank-m
-    vectors of top index N, the least n with max |v_i| <= (5 3^n - 1)/2."""
+    vectors of top index N, the least n with max |v_i| <= (5 3^n - 1)/2;
+    with positive, over those with every coordinate >= 1."""
     bounds = [(5 * 3**n - 1) // 2 for n in range(top + 1)]
     index = [
         next(n for n, b in enumerate(bounds) if e <= b) for e in range(bounds[-1] + 1)
     ]
     sums = [[0] * (2 * m * (top + 2) + 1) for _ in range(top + 1)]
-    for v in product(range(-bounds[-1], bounds[-1] + 1), repeat=m):
+    low = 1 if positive else -bounds[-1]
+    for v in product(range(low, bounds[-1] + 1), repeat=m):
         n = index[max(map(abs, v))]
         sums[n][word_length(m, v) - 2 * n] += 1
     return [poly(*row) for row in sums]
@@ -313,6 +357,10 @@ def test_band_lemma(m, top):
     band = [poly(1, 2, 2) * poly(1, 2) ** n for n in range(top + 1)]
     want = [band[0] ** m] + [band[n] ** m - band[n - 1] ** m for n in range(1, top + 1)]
     assert band_sums(m, top) == want
+    # every coordinate >= 1: P_N = (G_N - 1)/2 in place of G_N, P_(-1) = 0
+    half = [exact_div(g - ONE, 2) for g in band]
+    want = [half[0] ** m] + [half[n] ** m - half[n - 1] ** m for n in range(1, top + 1)]
+    assert band_sums(m, top, positive=True) == want
 
 
 def test_subgroup_series_rejects_bad_rank():
