@@ -18,21 +18,30 @@ balanced_digits, the expansion behind spell, and word_length, which sums
 weights and builds no digits, all read the same table.  The word is
 emitted a whole level per step, chaining each coordinate's token run.
 
-The level language for descent depth n enumerates, through the same
-digit-matrix emitter, the canonical words for all vectors in the box
-shell [0, (3^(n+2)-1)/2]^m minus [0, (3^(n+1)+1)/2)^m: an ordered set
-partition of the coordinates fixes which block leads at which level, a
-composition of n places the descents, and each descended level carries a
-free sign vector on the coordinates already started.
+The level language for descent depth n enumerates the canonical words
+for all vectors in the box shell [0, (3^(n+2)-1)/2]^m minus
+[0, (3^(n+1)+1)/2)^m: an ordered set partition of the coordinates fixes
+which block leads at which level, a composition of n places the descents,
+and each descended level carries a free sign vector on the coordinates
+already started.  It is emitted a level at a time from the same token
+runs as spell: each level's digit vectors become token fragments once,
+and the words are products of one fragment per level.  spell builds its
+single word from a digit matrix instead.  A level of more than
+LEVEL_WORD_CAP words is refused with BudgetError.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product, repeat
 
+from .errors import BudgetError
 from .group import Word, eval_word, is_horocyclic, max_height
 
 _flat = chain.from_iterable
+
+# most words enumerate_level builds: a word keeps about 300 B, so a
+# refused level would need more than 90 MB as a list; (3, 2) holds 61,803
+LEVEL_WORD_CAP = 300_000
 
 
 # Balanced ternary six digits at a time: with r = (e + 364) mod 729, e is
@@ -216,57 +225,75 @@ def _compositions(n: int, q: int):
 
 
 def enumerate_level(m: int, n: int) -> list[Word]:
-    """All canonical level-n words, via the shared digit-matrix emitter."""
+    """All canonical level-n words, emitted a level at a time.
+
+    For each ordered partition of the coordinates into blocks and each
+    composition of n placing the descents, every level below n gets its
+    digit vectors once: the entry digits of the blocks, and the 3^k sign
+    vectors of the k coordinates started above it.  Each vector becomes a
+    token fragment from the runs spell uses, each cap (U^2 at level n, or
+    U at level n + 1 over a sign word) a head fragment, and every word is a
+    head followed by one fragment per level, the lowest level varying
+    fastest.  Raises BudgetError, before any word is built, when the level
+    holds more than LEVEL_WORD_CAP words."""
     if m < 1:
         raise ValueError("rank m must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    coords = tuple(range(m))
-    out = []
-    for blocks in _ordered_partitions(coords):
-        q = len(blocks)
-        for comp in _compositions(n, q):
-            # block k enters at level n - (j_1 + .. + j_(k-1))
-            enter = [n]
-            for j in comp[:-1]:
-                enter.append(enter[-1] - j)
-            # one sign slot per descended level, over the coords started so far
-            slot_specs = []  # (level, alphabet)
-            started: tuple[int, ...] = blocks[0]
-            for k in range(q):
-                lvl = enter[k]
-                for step in range(comp[k]):
-                    slot_specs.append((lvl - 1 - step, started))
-                if k + 1 < q:
-                    started = started + blocks[k + 1]
-            slot_choices = [
-                list(product((0, 1, -1), repeat=len(alpha))) for _, alpha in slot_specs
-            ]
-            lead = blocks[0]
-            cap_choices = [None]  # None = the U^2 cap
-            all_minus = tuple([-1] * len(lead))
-            cap_choices += [
-                w for w in product((0, 1, -1), repeat=len(lead)) if w != all_minus
-            ]
-            for cap in cap_choices:
-                top = n if cap is None else n + 1
-                base = [[0] * (top + 1) for _ in range(m)]
-                if cap is None:
-                    for i in lead:
-                        base[i][n] = 2
-                else:
-                    for i, d in zip(lead, cap):
-                        base[i][n + 1] = 1
-                        base[i][n] = d
-                for k in range(1, q):
-                    for i in blocks[k]:
-                        base[i][enter[k]] = 1
-                for assignment in product(*slot_choices):
-                    rows = [row[:] for row in base]
-                    for (lvl, alpha), signs in zip(slot_specs, assignment):
-                        for i, d in zip(alpha, signs):
-                            rows[i][lvl] = d
-                    out.append(_digits_to_word(m, top, rows, (1,) * m))
+    lower, upper = level_box(n)
+    count = upper**m - (lower - 1) ** m  # the vectors of the level shell
+    if count > LEVEL_WORD_CAP:
+        raise BudgetError(
+            f"level {n} at rank {m} holds {count} words, over the cap of {LEVEL_WORD_CAP}"
+        )
+    runs = [_runs(i, 1) for i in range(1, m + 1)]
+
+    def fragment(digits) -> tuple[str, ...]:
+        return tuple(_flat(map(tuple.__getitem__, runs, digits)))
+
+    trusted = Word._trusted
+    out: list[Word] = []
+    for blocks in _ordered_partitions(tuple(range(m))):
+        lead = blocks[0]
+        for comp in _compositions(n, len(blocks)):
+            # fixed[level]: the digits of levels 0..n that no sign sets;
+            # each later block enters with a 1 where the descents before it
+            # end, and free[level] holds the coordinates started above it
+            fixed = [[0] * m for _ in range(n + 1)]
+            free: list[tuple[int, ...]] = [()] * n
+            enter, started = n, ()
+            for block, j in zip(blocks, comp):
+                started += block
+                if block is not lead:
+                    for i in block:
+                        fixed[enter][i] = 1
+                free[enter - j : enter] = [started] * j
+                enter -= j
+            # the words below level n, as T-led fragment products
+            tails = [()]
+            for level in range(n - 1, -1, -1):
+                row, alpha = fixed[level], free[level]
+                frags = []
+                for signs in product((0, 1, -1), repeat=len(alpha)):
+                    for i, d in zip(alpha, signs):
+                        row[i] = d
+                    frags.append(("T", *fragment(row)))
+                tails = [t + f for t in tails for f in frags]
+            # the caps: U^2 at level n, or U at level n + 1 over a sign word
+            row = fixed[n]
+            for i in lead:
+                row[i] = 2
+            heads = [("t",) * n + fragment(row)]
+            high = ("t",) * (n + 1) + fragment([int(i in lead) for i in range(m)]) + ("T",)
+            all_minus = (-1,) * len(lead)
+            for signs in product((0, 1, -1), repeat=len(lead)):
+                if signs == all_minus:
+                    continue
+                for i, d in zip(lead, signs):
+                    row[i] = d
+                heads.append(high + fragment(row))
+            for head in heads:
+                out += [trusted(m, head + t) for t in tails]
     return out
 
 

@@ -36,25 +36,32 @@ from .errors import BudgetError
 WORD_LENGTH_CAP = 8000
 
 
-@dataclass(frozen=True)
-class TriadicRational:
+# builds a NamedTuple, an element or a coordinate, from a plain tuple
+# without the Python-level constructor, which would dominate the cost of a
+# step
+_pack = tuple.__new__
+
+
+class TriadicRational(NamedTuple):
     """num / 3**exp with exp >= 0 and 3 not dividing num unless exp == 0;
-    one coordinate of an element, for display and JSON."""
+    one coordinate of an element, for display and JSON.  Build it with
+    make, which canonicalises; it is a NamedTuple so that make packs the
+    pair directly, and a pair is equal to, and hashes like, the plain
+    (num, exp) tuple."""
 
     num: int
     exp: int
 
     @classmethod
     def make(cls, num: int, exp: int) -> "TriadicRational":
-        if num == 0:
-            return cls(0, 0)
-        while exp < 0:
-            num *= 3
-            exp += 1
+        if num == 0 or exp == 0:
+            return _pack(cls, (num, 0))
+        if exp < 0:
+            return _pack(cls, (num * 3**-exp, 0))
         while exp > 0 and num % 3 == 0:
             num //= 3
             exp -= 1
-        return cls(num, exp)
+        return _pack(cls, (num, exp))
 
     @property
     def is_integer(self) -> bool:
@@ -74,16 +81,11 @@ class GroupElement(NamedTuple):
 
     @property
     def coords(self) -> tuple[TriadicRational, ...]:
-        return tuple(TriadicRational.make(n, self.exp) for n in self.nums)
+        return tuple(map(TriadicRational.make, self.nums, repeat(self.exp)))
 
     @classmethod
     def identity(cls, m: int) -> "GroupElement":
         return cls(0, 0, (0,) * m)
-
-
-# builds an element from a (tee, exp, nums) tuple without the Python-level
-# NamedTuple constructor, which would dominate the cost of a step
-_pack = tuple.__new__
 
 
 def _canonical(tee: int, exp: int, nums) -> GroupElement:

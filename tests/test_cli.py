@@ -280,14 +280,47 @@ def test_verify_json_bytes_are_pinned(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
 
 
-# sha256 of the --output json stdout of census and series runs, recorded
-# when every census horizon ran its own stem pass and full_series summed
-# its level-series terms with rf_add and rf_mul
+# sha256 of the --output json stdout of census, series and eval runs; the
+# census and series ones recorded when every census horizon ran its own
+# stem pass and full_series summed its level-series terms with rf_add and
+# rf_mul
 JSON_DIGESTS = {
     "census --m 30 --rmax 3": "1ccbb866f90c74ce22ed8c22086d57a1d185f589806a28d9c4874890baf43ee5",
     "census --m 12 --rmax 24": "af29f2a8c01500bde5e19b6a73da2f1b6466d499a33a95cb38d32c9f2047ee18",
     "series --kind full --m 12 --rational": (
         "6f0cc515193d644702b9732115c4c9a5e90c6e0b514b14a7fe62d1372d83b774"
+    ),
+    # eval on fixed words, recorded when each coordinate was a frozen
+    # dataclass: fractional coordinates, heights of both signs, integers
+    "eval --m 1 --word Tat": (
+        "862fa5c23e03bc69e317853441d7624364be6ce48711be6055f680d9c0c0bf97"
+    ),
+    "eval --m 1 --word TTa^2tt": (
+        "30997c5997ee996f9085ed9c3c78cab3d2082bb9ee2d1d5327f1f3fd37ed955e"
+    ),
+    "eval --m 1 --word T^3A^4t^5": (
+        "8d5b4e6a9b7334dd59f634f91a903d20497966f17c8248998a99befd37542cee"
+    ),
+    "eval --m 1 --word t^4a^-2T^4a^3": (
+        "cab47807d62ad7f1a1a057582e24ebf59cb26981f80831b706b77e9116aa2639"
+    ),
+    "eval --m 2 --word TaTBttAt": (
+        "520caef6f593960f171289ac0cbe9271480d6d780e78f16f0d60f3e9043f626c"
+    ),
+    "eval --m 2 --word ttabbTBTab": (
+        "73ddc35aef623e7c2ae3c2ee5c7b3656eaa2883bc18f32f48a38d1b9183571ee"
+    ),
+    "eval --m 2 --word a^-7T^2b^9": (
+        "d5aaed76ed1d61fd2ed5521082ccbdc0dc399bbeea8df5cca396ba63560baf2a"
+    ),
+    "eval --m 3 --word T^3a^4t^2BA": (
+        "a7b24aa1cd2a74af833b349839df93b81c6c9c9ada17f3c781e37702a23d922e"
+    ),
+    "eval --m 3 --word tTTa^5tbTTCtt": (
+        "c307f084fe5192f490092c04fd378d0d9475c3d31337aefdbe273474f304efbd"
+    ),
+    "eval --m 3 --word TaTbTc": (
+        "b60c989a8df7d23eaed0ceea0703c61510a2dc6c5f93512ff95305fea3882aef"
     ),
 }
 

@@ -7,16 +7,19 @@ by hand the same way.
 """
 from __future__ import annotations
 
+import time
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horogrowth import geodesic
+from horogrowth.errors import BudgetError
 from horogrowth.geodesic import (
-    _digits_to_word,
+    LEVEL_WORD_CAP,
+    _compositions,
     _expansion,
+    _ordered_partitions,
     balanced_digits,
     cap_words,
     check_level_ranges,
@@ -403,19 +406,91 @@ def test_kernels_match_the_references_on_large_vectors(vec):
     assert_kernels_match_the_references(tuple(vec))
 
 
-@pytest.mark.parametrize(
-    "m,n", [(m, n) for m in (1, 2, 3) for n in range(4) if (m, n) != (3, 3)]
-)
-def test_level_words_match_the_reference_emitter(monkeypatch, m, n):
-    # (3, 3) holds 1,707,561 words: tens of seconds for each emitter
-    emitted = []
+def reference_enumerate_level(m: int, n: int) -> list[Word]:
+    """The level-n words from one digit matrix per word, in the order
+    enumerate_level gives them: ordered block partition, composition, cap,
+    then the sign slots, the lowest level varying fastest."""
+    out = []
+    for blocks in _ordered_partitions(tuple(range(m))):
+        q = len(blocks)
+        for comp in _compositions(n, q):
+            # block k enters at level n - (j_1 + .. + j_(k-1))
+            enter = [n]
+            for j in comp[:-1]:
+                enter.append(enter[-1] - j)
+            # one sign slot per descended level, over the coords started so far
+            slot_specs = []  # (level, alphabet)
+            started = blocks[0]
+            for k in range(q):
+                for step in range(comp[k]):
+                    slot_specs.append((enter[k] - 1 - step, started))
+                if k + 1 < q:
+                    started = started + blocks[k + 1]
+            slot_choices = [
+                list(product((0, 1, -1), repeat=len(alpha))) for _, alpha in slot_specs
+            ]
+            lead = blocks[0]
+            all_minus = (-1,) * len(lead)
+            cap_choices = [None]  # None = the U^2 cap
+            cap_choices += [w for w in product((0, 1, -1), repeat=len(lead)) if w != all_minus]
+            for cap in cap_choices:
+                top = n if cap is None else n + 1
+                base = [[0] * (top + 1) for _ in range(m)]
+                if cap is None:
+                    for i in lead:
+                        base[i][n] = 2
+                else:
+                    for i, d in zip(lead, cap):
+                        base[i][n + 1] = 1
+                        base[i][n] = d
+                for k in range(1, q):
+                    for i in blocks[k]:
+                        base[i][enter[k]] = 1
+                for assignment in product(*slot_choices):
+                    rows = [row[:] for row in base]
+                    for (lvl, alpha), signs in zip(slot_specs, assignment):
+                        for i, d in zip(alpha, signs):
+                            rows[i][lvl] = d
+                    out.append(reference_digits_to_word(m, top, rows, (1,) * m))
+    return out
 
-    def record(*args):
-        emitted.append((args, _digits_to_word(*args)))
-        return emitted[-1][1]
 
-    monkeypatch.setattr(geodesic, "_digits_to_word", record)
+REFERENCE_LEVELS = [(m, n) for m in (1, 2, 3) for n in range(4) if (m, n) != (3, 3)]
+
+
+def shell_size(m: int, n: int) -> int:
+    """The vectors of the level-n shell [1, upper]^m minus [1, lower)^m."""
+    lower, upper = level_box(n)
+    return upper**m - (lower - 1) ** m
+
+
+@pytest.mark.parametrize("m,n", REFERENCE_LEVELS)
+def test_level_words_match_the_reference_emitter(m, n):
+    # (3, 3) holds 1,707,561 words, over LEVEL_WORD_CAP
     words = enumerate_level(m, n)
-    assert [word for _, word in emitted] == words
-    for args, word in emitted:
-        assert reference_digits_to_word(*args) == word
+    assert words == reference_enumerate_level(m, n)
+    assert len(words) == shell_size(m, n)
+
+
+def test_level_count_is_the_shell_size():
+    # one word per vector of the shell, or BudgetError over the cap; the
+    # reference test counts its own levels
+    for m in range(1, 6):
+        for n in range(5):
+            count = shell_size(m, n)
+            if count > LEVEL_WORD_CAP:
+                with pytest.raises(BudgetError, match=f"holds {count} words"):
+                    enumerate_level(m, n)
+            elif (m, n) not in REFERENCE_LEVELS:
+                assert len(enumerate_level(m, n)) == count
+    hand = {(2, 0): 15, (2, 1): 153, (2, 3): 13041, (3, 0): 63, (3, 2): 61803}
+    assert {key: shell_size(*key) for key in hand} == hand
+
+
+def test_large_levels_are_refused_before_any_word():
+    # (4, 3) holds 211,798,881 words: about 60 GB as a list
+    for run in (enumerate_level, check_level_ranges):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="level 3 at rank 4 holds 211798881 words"):
+            run(4, 3)
+        assert time.perf_counter() - start < 0.1

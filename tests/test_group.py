@@ -42,6 +42,18 @@ def test_triadic_canonicalization():
     assert TriadicRational.make(0, 5) == TriadicRational(0, 0)
     assert TriadicRational.make(2, -2) == TriadicRational(18, 0)
     assert TriadicRational.make(5, 2) == TriadicRational(5, 2)
+    # exp < 0, exp == 0, num == 0 and 3 | num; the pair is a plain tuple too
+    cases = {
+        (2, -2): (18, 0), (-4, -1): (-12, 0),
+        (7, 0): (7, 0), (-9, 0): (-9, 0),
+        (0, 0): (0, 0), (0, 4): (0, 0), (0, -3): (0, 0),
+        (54, 3): (2, 0), (-45, 3): (-5, 1), (5, 2): (5, 2),
+    }
+    for (num, exp), pair in cases.items():
+        r = TriadicRational.make(num, exp)
+        assert type(r) is TriadicRational
+        assert (r.num, r.exp) == tuple(r) == pair
+        assert r.is_integer == (pair[1] == 0)
 
 
 def test_triadic_arithmetic():
@@ -65,6 +77,14 @@ def test_triadic_canonical_invariant(num, exp):
     if r.exp > 0:
         assert r.num % 3 != 0
     assert Fraction(r.num, 3**r.exp) == Fraction(num, 1) * Fraction(3) ** -exp
+
+
+@given(st.lists(st.sampled_from(["t", "T", "a1", "A1", "a2", "A2", "a3", "A3"]), max_size=12))
+@example(["T", "a1", "T", "A3", "t", "t"])
+@example(["t", "a2", "T", "T", "a1", "t"])
+def test_coords_make_each_coordinate(tokens):
+    g = eval_word(Word(3, tuple(tokens)))
+    assert g.coords == tuple(TriadicRational.make(n, g.exp) for n in g.nums)
 
 
 # ---------------------------------------------------------------------------
