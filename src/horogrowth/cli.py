@@ -102,11 +102,14 @@ def _series_function(kind: str, m: int, n: int):
 
 
 def _cmd_series(args) -> int:
+    if args.n is not None and args.kind != "B":
+        raise ValueError(f"kind {args.kind!r} takes no level depth")
+    n = args.n or 0
     if args.terms < 0:
         raise ValueError("--terms must be nonnegative")
     if args.terms > TERMS_CAP:
         raise BudgetError(f"--terms {args.terms} exceeds the supported cap {TERMS_CAP}")
-    f = _series_function(args.kind, args.m, args.n)
+    f = _series_function(args.kind, args.m, n)
     if args.output == "json":
         obj = {
             "kind": args.kind,
@@ -116,7 +119,7 @@ def _cmd_series(args) -> int:
             "prefix": series_prefix(f, args.terms).to_json()["coeffs"],
         }
         if args.kind == "B":
-            obj["n"] = args.n
+            obj["n"] = n
         _emit_json(obj)
     elif args.output == "latex":
         print(rf_latex(f))
@@ -244,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the canonical rational form instead of the prefix",
     )
-    p.add_argument("--n", type=int, default=0, help="level depth for kind B")
+    p.add_argument("--n", type=int, default=None, help="level depth for kind B, default 0")
     add_output(p, ("plain", "json", "latex"))
     p.set_defaults(func=_cmd_series)
 

@@ -26,8 +26,10 @@ and each descended level carries a free sign vector on the coordinates
 already started.  It is emitted a level at a time from the same token
 runs as spell: each level's digit vectors become token fragments once,
 and the words are products of one fragment per level.  spell builds its
-single word from a digit matrix instead.  A level of more than
-LEVEL_WORD_CAP words is refused with BudgetError.
+single word from a digit matrix instead.  Both pack their words as
+(m, tokens) directly, since every token comes from the runs, without the
+check that Word(m, tokens) makes.  A level of more than LEVEL_WORD_CAP
+words is refused with BudgetError.
 """
 from __future__ import annotations
 
@@ -35,12 +37,13 @@ from functools import lru_cache
 from itertools import chain, product, repeat
 
 from .errors import BudgetError
-from .group import Word, eval_word, is_horocyclic, max_height
+from .group import Word, _pack, eval_word, is_horocyclic, max_height
 
 _flat = chain.from_iterable
 
-# most words enumerate_level builds: a word keeps about 300 B, so a
-# refused level would need more than 90 MB as a list; (3, 2) holds 61,803
+# most words enumerate_level builds: a word keeps 225-261 B (tracemalloc
+# at (3, 2), (2, 3) and (2, 4)), so a refused level would need more than
+# 65 MB as a list; (3, 2) holds 61,803
 LEVEL_WORD_CAP = 300_000
 
 
@@ -103,7 +106,7 @@ def _digits_to_word(m: int, top: int, rows, signs) -> Word:
     tokens = ["t"] * top
     tokens += _flat(_flat(zip(*columns, repeat(("T",)))))
     tokens.pop()  # the T after level 0
-    return Word._trusted(m, tuple(tokens))  # every token is from _runs
+    return _pack(Word, (m, tuple(tokens)))  # every token is from _runs
 
 
 def spell(m: int, vec: tuple[int, ...]) -> Word:
@@ -113,7 +116,7 @@ def spell(m: int, vec: tuple[int, ...]) -> Word:
     if len(vec) != m:
         raise ValueError("vector length does not match m")
     if not any(vec):
-        return Word._trusted(m, ())
+        return _pack(Word, (m, ()))
     signs = tuple(-1 if v < 0 else 1 for v in vec)
     top, coords = _expansion(vec)
     rows = []
@@ -145,43 +148,6 @@ def word_length(m: int, vec: tuple[int, ...]) -> int:
             e, r = divmod(e + _HALF, _CHUNK)
             total += _CHUNK_WEIGHT[r]
     return total
-
-
-# ---------------------------------------------------------------------------
-# word families
-
-def suffix_words(m: int, indices: tuple[int, ...] | None = None) -> list[Word]:
-    """All 3^k sign words over the index set: one token a_i or A_i per +-1."""
-    idx = indices if indices is not None else tuple(range(1, m + 1))
-    out = []
-    for signs in product((0, 1, -1), repeat=len(idx)):
-        tokens = []
-        for i, s in zip(idx, signs):
-            if s == 1:
-                tokens.append(f"a{i}")
-            elif s == -1:
-                tokens.append(f"A{i}")
-        out.append(Word(m, tuple(tokens)))
-    return out
-
-
-def cap_words(m: int, indices: tuple[int, ...] | None = None) -> list[Word]:
-    """The 3^k cap words over the index set: U^2 and t U T w, w != U^-1.
-
-    These spell the values whose digit row starts with 2 (the U^2 cap) or
-    climbs one level higher (the t-cap with a free sign word below).
-    """
-    idx = indices if indices is not None else tuple(range(1, m + 1))
-    u = [f"a{i}" for i in idx]
-    # the squared cap is written level-block style: both copies of each
-    # generator together, index ascending
-    out = [Word(m, tuple(tok for i in idx for tok in (f"a{i}", f"a{i}")))]
-    all_inverse = tuple(f"A{i}" for i in idx)
-    for w in suffix_words(m, idx):
-        if w.tokens == all_inverse:
-            continue
-        out.append(Word(m, ("t", *u, "T", *w.tokens)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +217,6 @@ def enumerate_level(m: int, n: int) -> list[Word]:
     def fragment(digits) -> tuple[str, ...]:
         return tuple(_flat(map(tuple.__getitem__, runs, digits)))
 
-    trusted = Word._trusted
     out: list[Word] = []
     for blocks in _ordered_partitions(tuple(range(m))):
         lead = blocks[0]
@@ -293,7 +258,7 @@ def enumerate_level(m: int, n: int) -> list[Word]:
                     row[i] = d
                 heads.append(high + fragment(row))
             for head in heads:
-                out += [trusted(m, head + t) for t in tails]
+                out += [_pack(Word, (m, head + t)) for t in tails]
     return out
 
 

@@ -12,17 +12,21 @@ a plain (tee, exp, nums) tuple is equal to, and hashes like, the element.
 
 Words use tokens 't', 'T' (its inverse) and 'a<i>', 'A<i>' for the i-th
 lattice generator and its inverse.  For m <= 3 the letters a, b, c and
-their upper-case inverses are accepted and emitted as aliases.  The
-parser cuts a text into lexemes, each a token with an optional power '^k'
-(k may carry a sign), skipping the spaces between them, and reads each
-distinct lexeme once; rendering never emits '^'.  Evaluation folds the
-product rule over the tokens in one pass, keeping the coordinates over
-the power of 3 that the lowest letter read so far needs.
+their upper-case inverses are accepted and emitted as aliases.  A word is
+stored packed as (m, tokens): like an element, it is equal to, and hashes
+like, the plain pair, and its len is 2 (word.length counts the tokens).
+Word(m, tokens) checks every token; the package packs the words it builds
+from its own token tables, and the parser packs words whose lexemes it has
+range-checked.  The parser cuts a text into lexemes, each a token with an
+optional power '^k' (k may carry a sign), skipping the spaces between
+them, and reads each distinct lexeme once; rendering never emits '^'.
+Evaluation folds the product rule over the tokens in one pass, keeping
+the coordinates over the power of 3 that the lowest letter read so far
+needs.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import itemgetter
@@ -36,9 +40,8 @@ from .errors import BudgetError
 WORD_LENGTH_CAP = 8000
 
 
-# builds a NamedTuple, an element or a coordinate, from a plain tuple
-# without the Python-level constructor, which would dominate the cost of a
-# step
+# builds an element, a coordinate or a word from a plain tuple without the
+# Python-level constructor, which would dominate the cost of a step
 _pack = tuple.__new__
 
 
@@ -193,31 +196,31 @@ def _letter(tok: str) -> tuple[int, int]:
     return int(tok[1:].lstrip("0")) - 1, (1 if tok[0] == "a" else -1)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word in the generators, stored as a tuple of tokens."""
+class Word(tuple):
+    """A word in the generators, packed as (m, tokens); Word(m, tokens)
+    checks every token."""
 
-    m: int
-    tokens: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, tokens: tuple[str, ...]) -> "Word":
+        if m < 1:
             raise ValueError("rank m must be at least 1")
-        if not all(map(_valid_token, set(self.tokens), repeat(self.m))):
-            bad = next(tok for tok in self.tokens if not _valid_token(tok, self.m))
+        if not all(map(_valid_token, set(tokens), repeat(m))):
+            bad = next(tok for tok in tokens if not _valid_token(tok, m))
             shown = repr(bad) if len(bad) <= 21 else repr(bad[:21]) + "..."
-            raise ValueError(f"invalid token {shown} for m={self.m}")
+            raise ValueError(f"invalid token {shown} for m={m}")
+        return _pack(cls, (m, tokens))
 
-    @classmethod
-    def _trusted(cls, m: int, tokens: tuple[str, ...]) -> "Word":
-        """The word of tokens made without re-checking them.  The tokens must
-        come from the package's own tables, never from outside input, so
-        that they are valid for rank m >= 1 by construction."""
-        word = object.__new__(cls)
-        fields = word.__dict__
-        fields["m"] = m
-        fields["tokens"] = tokens
-        return word
+    m = property(itemgetter(0))
+    tokens = property(itemgetter(1))
+
+    # copy and every pickle protocol rebuild a word through the checked
+    # constructor; protocols 0 and 1 never read __getnewargs__
+    def __reduce__(self):
+        return Word, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Word(m={self.m!r}, tokens={self.tokens!r})"
 
     @property
     def length(self) -> int:
@@ -296,12 +299,12 @@ def parse_word(text: str, m: int) -> Word:
         raise _too_long()
     # _read_lexeme range-checks every index, so the tokens need no re-check
     if single:
-        return Word._trusted(m, tuple(map(itemgetter(0), map(reads.__getitem__, lexemes))))
+        return _pack(Word, (m, tuple(map(itemgetter(0), map(reads.__getitem__, lexemes)))))
     tokens: list[str] = []
     for lexeme in lexemes:
         tok, count = reads[lexeme]
         tokens += [tok] * count
-    return Word._trusted(m, tuple(tokens))
+    return _pack(Word, (m, tuple(tokens)))
 
 
 def _too_long() -> BudgetError:

@@ -99,6 +99,22 @@ def test_series_level_depth(capsys):
     assert out == "1, 4, 6, 6, 8, 14\n"
 
 
+@pytest.mark.parametrize("kind", [k for k in cli._SERIES_KINDS if k != "B"])
+def test_series_rejects_a_level_depth_for_every_kind_but_b(capsys, kind):
+    rc, out, err = run_main(capsys, "series", "--kind", kind, "--m", "2", "--n", "3")
+    assert rc == 3
+    assert out == ""
+    assert f"kind {kind!r} takes no level depth" in err
+
+
+def test_series_level_depth_defaults_to_zero(capsys):
+    argv = ("series", "--kind", "B", "--m", "2", "--terms", "4", "--output", "json")
+    rc, out, _ = run_main(capsys, *argv)
+    assert rc == 0
+    assert json.loads(out)["n"] == 0
+    assert run_main(capsys, *argv, "--n", "0")[1] == out
+
+
 def test_series_json_byte_golden(capsys):
     rc, out, _ = run_main(
         capsys, "series", "--kind", "W", "--m", "1", "--terms", "3", "--output", "json"

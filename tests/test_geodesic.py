@@ -7,8 +7,12 @@ by hand the same way.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,15 +25,15 @@ from horogrowth.geodesic import (
     _expansion,
     _ordered_partitions,
     balanced_digits,
-    cap_words,
     check_level_ranges,
     enumerate_level,
     level_box,
     spell,
-    suffix_words,
     word_length,
 )
 from horogrowth.group import GroupElement, Word, eval_word, max_height, parse_word
+
+from word_families import cap_words, suffix_words
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +320,7 @@ def _package_words(m: int):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_package_words_pass_the_token_check(m):
     for w in _package_words(m):
-        assert type(w.tokens) is tuple
+        assert type(w) is Word and type(w.tokens) is tuple
         assert Word(w.m, w.tokens) == w, w
 
 
@@ -488,9 +492,29 @@ def test_level_count_is_the_shell_size():
 
 
 def test_large_levels_are_refused_before_any_word():
-    # (4, 3) holds 211,798,881 words: about 60 GB as a list
+    # (4, 3) holds 211,798,881 words: about 50 GB as a list
     for run in (enumerate_level, check_level_ranges):
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="level 3 at rank 4 holds 211798881 words"):
             run(4, 3)
         assert time.perf_counter() - start < 0.1
+
+
+_MEASURE_LEVEL = """
+import sys, tracemalloc
+from horogrowth.geodesic import enumerate_level
+tracemalloc.start()
+words = enumerate_level(*map(int, sys.argv[1:]))
+print(tracemalloc.get_traced_memory()[0] / len(words))
+"""
+
+
+def test_level_words_stay_under_300_bytes_each():
+    # measured in a fresh interpreter: in this one, token tuples that
+    # earlier tests freed wait in CPython's free lists and show no bytes
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURE_LEVEL, "2", "3"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert float(proc.stdout) <= 300

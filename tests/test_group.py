@@ -6,6 +6,8 @@ the module was written.
 """
 from __future__ import annotations
 
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -243,6 +245,28 @@ def test_word_length_and_str():
     assert w.length == 10
     assert str(w) == "ttabbTBTab"
     assert str(parse_word("", 2)) == ""
+
+
+def test_word_is_the_packed_pair():
+    w = Word(2, ("t", "a1", "A2"))
+    assert w == (2, ("t", "a1", "A2")) and hash(w) == hash((2, ("t", "a1", "A2")))
+    assert w != Word(2, ("t", "a1")) and w != (1, ("t", "a1", "A2"))
+    assert len(w) == 2 and w.m == 2 and w.tokens == ("t", "a1", "A2")
+    assert repr(w) == "Word(m=2, tokens=('t', 'a1', 'A2'))"
+    assert not hasattr(w, "__dict__")
+    assert not hasattr(Word, "_make") and not hasattr(Word, "_replace")
+    copies = [copy.copy(w), copy.deepcopy(w)]
+    copies += [pickle.loads(pickle.dumps(w, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is Word and c == w and repr(c) == repr(w)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_an_unpickled_word_is_checked(protocol):
+    data = pickle.dumps(Word(2, ("t", "a2")), protocol)
+    assert data.count(b"a2") == 1
+    with pytest.raises(ValueError, match="invalid token 'a3' for m=2"):
+        pickle.loads(data.replace(b"a2", b"a3"))
 
 
 def test_element_str():

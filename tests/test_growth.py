@@ -17,7 +17,7 @@ import pytest
 
 from horogrowth import growth
 from horogrowth.errors import BudgetError, FitError
-from horogrowth.geodesic import cap_words, suffix_words, word_length
+from horogrowth.geodesic import word_length
 from horogrowth.growth import (
     CENSUS_RMAX,
     RANK_CAP,
@@ -50,6 +50,8 @@ from horogrowth.series import (
     rf_to_json,
     series_prefix,
 )
+
+from word_families import cap_words, suffix_words
 
 
 def one_minus_x2w(m: int) -> IntPolynomial:
