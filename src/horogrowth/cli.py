@@ -105,9 +105,11 @@ def _cmd_series(args) -> int:
     if args.n is not None and args.kind != "B":
         raise ValueError(f"kind {args.kind!r} takes no level depth")
     n = args.n or 0
-    if args.terms < 0:
+    # --terms is checked only where a prefix is printed, and ignored elsewhere
+    prefix = args.output == "json" or not (args.rational or args.output == "latex")
+    if prefix and args.terms < 0:
         raise ValueError("--terms must be nonnegative")
-    if args.terms > TERMS_CAP:
+    if prefix and args.terms > TERMS_CAP:
         raise BudgetError(f"--terms {args.terms} exceeds the supported cap {TERMS_CAP}")
     f = _series_function(args.kind, args.m, n)
     if args.output == "json":

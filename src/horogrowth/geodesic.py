@@ -15,26 +15,28 @@ The digit rule is one table, built at import: for every residue r mod
 sum of |digit|.  An integer e is expanded six digits per step as
 e = 729 ((e + 364) // 729) + (r - 364) with r = (e + 364) mod 729, so
 balanced_digits, the expansion behind spell, and word_length, which sums
-weights and builds no digits, all read the same table.  The word is
-emitted a whole level per step, chaining each coordinate's token run.
+weights and builds no digits, all read the same table.  spell folds each
+coordinate's sign into its digits and emits one fragment per level: the
+level's column of signed digits maps to its tokens and a T through one
+bounded cache.
 
 The level language for descent depth n enumerates the canonical words
 for all vectors in the box shell [0, (3^(n+2)-1)/2]^m minus
 [0, (3^(n+1)+1)/2)^m: an ordered set partition of the coordinates fixes
 which block leads at which level, a composition of n places the descents,
 and each descended level carries a free sign vector on the coordinates
-already started.  It is emitted a level at a time from the same token
-runs as spell: each level's digit vectors become token fragments once,
-and the words are products of one fragment per level.  spell builds its
-single word from a digit matrix instead.  Both pack their words as
-(m, tokens) directly, since every token comes from the runs, without the
-check that Word(m, tokens) makes.  A level of more than LEVEL_WORD_CAP
+already started.  It is emitted a level at a time from the fragments
+spell reads: each level's digit vectors become fragments once, and the
+words are products of one fragment per level.  Both pack their words as
+(m, tokens) directly, since every token comes from the fragments, without
+the check that Word(m, tokens) makes.  A level of more than LEVEL_WORD_CAP
 words is refused with BudgetError.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product, repeat
+from operator import neg
 
 from .errors import BudgetError
 from .group import Word, _pack, eval_word, is_horocyclic, max_height
@@ -89,42 +91,32 @@ def _expansion(vec) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
 
 
 @lru_cache(maxsize=1024)
-def _runs(index: int, sign: int) -> tuple[tuple[str, ...], ...]:
-    """The token runs of the digits 0, 1, 2 and -1 (at index -1) of the
-    coordinate index, for a coordinate of the given sign."""
-    up, down = (f"a{index}", f"A{index}") if sign > 0 else (f"A{index}", f"a{index}")
-    return (), (up,), (up, up), (down,)
-
-
-def _digits_to_word(m: int, top: int, rows, signs) -> Word:
-    """The word of digit rows (per coordinate, the digits at indices
-    0..top, in {-1, 0, 1, 2}): t^top, then the levels top..0 separated by
-    T.  Each level chains the coordinates' token runs, and the levels are
-    chained in one pass over the rows read top down."""
-    runs = map(_runs, range(1, m + 1), signs)
-    columns = [map(r.__getitem__, reversed(row)) for r, row in zip(runs, rows)]
-    tokens = ["t"] * top
-    tokens += _flat(_flat(zip(*columns, repeat(("T",)))))
-    tokens.pop()  # the T after level 0
-    return _pack(Word, (m, tuple(tokens)))  # every token is from _runs
+def _fragment(column: tuple[int, ...]) -> tuple[str, ...]:
+    """The tokens of one level, then T: per coordinate i, a signed digit d
+    gives d copies of a<i>, or -d copies of A<i> when d < 0."""
+    runs = ([f"a{i}" if d > 0 else f"A{i}"] * abs(d) for i, d in enumerate(column, 1))
+    return (*_flat(runs), "T")
 
 
 def spell(m: int, vec: tuple[int, ...]) -> Word:
-    """Geodesic word for the lattice element a^vec."""
+    """Geodesic word for the lattice element a^vec: t^N, then one fragment
+    per level N..0 of the signed digits, without the last T."""
     if m < 1:
         raise ValueError("rank m must be at least 1")
     if len(vec) != m:
         raise ValueError("vector length does not match m")
     if not any(vec):
         return _pack(Word, (m, ()))
-    signs = tuple(-1 if v < 0 else 1 for v in vec)
     top, coords = _expansion(vec)
-    rows = []
-    for lead, digits in coords:
-        row = list(digits) + [0] * (top + 1 - len(digits))
-        row[top] += lead
-        rows.append(row)
-    return _digits_to_word(m, top, rows, signs)
+    rows = []  # per coordinate, its signed digits at indices top..0
+    for v, (lead, digits) in zip(vec, coords):
+        row = [*repeat(0, top + 1 - len(digits)), *digits[::-1]]
+        row[0] += lead
+        rows.append(row if v > 0 else list(map(neg, row)))
+    tokens = ["t"] * top
+    tokens += _flat(map(_fragment, zip(*rows)))
+    tokens.pop()  # the T after level 0
+    return _pack(Word, (m, tuple(tokens)))  # every token is from _fragment
 
 
 def word_length(m: int, vec: tuple[int, ...]) -> int:
@@ -196,12 +188,12 @@ def enumerate_level(m: int, n: int) -> list[Word]:
     For each ordered partition of the coordinates into blocks and each
     composition of n placing the descents, every level below n gets its
     digit vectors once: the entry digits of the blocks, and the 3^k sign
-    vectors of the k coordinates started above it.  Each vector becomes a
-    token fragment from the runs spell uses, each cap (U^2 at level n, or
-    U at level n + 1 over a sign word) a head fragment, and every word is a
-    head followed by one fragment per level, the lowest level varying
-    fastest.  Raises BudgetError, before any word is built, when the level
-    holds more than LEVEL_WORD_CAP words."""
+    vectors of the k coordinates started above it.  Each vector becomes
+    the fragment spell reads, each cap (U^2 at level n, or U at level n + 1
+    over a sign word) a head, and every word is a head followed by one
+    fragment per level, the lowest level varying fastest, less the last T.
+    Raises BudgetError, before any word is built, when the level holds
+    more than LEVEL_WORD_CAP words."""
     if m < 1:
         raise ValueError("rank m must be at least 1")
     if n < 0:
@@ -212,11 +204,6 @@ def enumerate_level(m: int, n: int) -> list[Word]:
         raise BudgetError(
             f"level {n} at rank {m} holds {count} words, over the cap of {LEVEL_WORD_CAP}"
         )
-    runs = [_runs(i, 1) for i in range(1, m + 1)]
-
-    def fragment(digits) -> tuple[str, ...]:
-        return tuple(_flat(map(tuple.__getitem__, runs, digits)))
-
     out: list[Word] = []
     for blocks in _ordered_partitions(tuple(range(m))):
         lead = blocks[0]
@@ -234,7 +221,7 @@ def enumerate_level(m: int, n: int) -> list[Word]:
                         fixed[enter][i] = 1
                 free[enter - j : enter] = [started] * j
                 enter -= j
-            # the words below level n, as T-led fragment products
+            # the words below level n, as fragment products
             tails = [()]
             for level in range(n - 1, -1, -1):
                 row, alpha = fixed[level], free[level]
@@ -242,21 +229,25 @@ def enumerate_level(m: int, n: int) -> list[Word]:
                 for signs in product((0, 1, -1), repeat=len(alpha)):
                     for i, d in zip(alpha, signs):
                         row[i] = d
-                    frags.append(("T", *fragment(row)))
+                    frags.append(_fragment(tuple(row)))
                 tails = [t + f for t in tails for f in frags]
             # the caps: U^2 at level n, or U at level n + 1 over a sign word
             row = fixed[n]
             for i in lead:
                 row[i] = 2
-            heads = [("t",) * n + fragment(row)]
-            high = ("t",) * (n + 1) + fragment([int(i in lead) for i in range(m)]) + ("T",)
+            heads = [("t",) * n + _fragment(tuple(row))]
+            high = ("t",) * (n + 1) + _fragment(tuple(int(i in lead) for i in range(m)))
             all_minus = (-1,) * len(lead)
             for signs in product((0, 1, -1), repeat=len(lead)):
                 if signs == all_minus:
                     continue
                 for i, d in zip(lead, signs):
                     row[i] = d
-                heads.append(high + fragment(row))
+                heads.append(high + _fragment(tuple(row)))
+            if n:  # drop the T after level 0, which ends every tail
+                tails = [t[:-1] for t in tails]
+            else:  # or, at n = 0, every head
+                heads = [h[:-1] for h in heads]
             for head in heads:
                 out += [_pack(Word, (m, head + t)) for t in tails]
     return out

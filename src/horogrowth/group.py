@@ -20,9 +20,12 @@ from its own token tables, and the parser packs words whose lexemes it has
 range-checked.  The parser cuts a text into lexemes, each a token with an
 optional power '^k' (k may carry a sign), skipping the spaces between
 them, and reads each distinct lexeme once; rendering never emits '^'.
-Evaluation folds the product rule over the tokens in one pass, keeping
-the coordinates over the power of 3 that the lowest letter read so far
-needs.
+The forms format_word prints are cut by C string methods instead: letters
+alone map through a table per rank, and a, A, t, T and digits are split
+before each letter if every distinct chunk is a token.  Evaluation folds
+the product rule over the tokens in one pass, keeping the coordinates over
+the power of 3 that the lowest letter read so far needs; it reads each
+letter's (index, sign) and 3^k from tables.
 """
 from __future__ import annotations
 
@@ -169,6 +172,9 @@ _ALIASES = "abc"
 # the m <= 3 spelling of every token
 _ALIAS_OF = dict(zip(("t", "T", "a1", "A1", "a2", "A2", "a3", "A3"), "tTaAbBcC"))
 
+# the token of each letter in range at ranks 1 to 3 and, first, above 3
+_LETTER_TOKENS = [dict(zip([*_ALIAS_OF.values()][: 2 + 2 * m], _ALIAS_OF)) for m in range(4)]
+
 # one lexeme per token or run: a generator a<i> or A<i>, or else any one
 # non-space character, with an optional power; findall skips the spaces.
 # Indices and powers are ASCII decimals, as Word's token check requires.
@@ -190,10 +196,17 @@ def _valid_token(tok: str, m: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=1024)
+# eval_word's tables: (index, sign) per token read, up to 1024; 3^k for k < 64
+_LETTERS: dict[str, tuple[int, int]] = {}
+_POW3 = tuple(3**k for k in range(64))
+
+
 def _letter(tok: str) -> tuple[int, int]:
-    """(coordinate index, sign) of a valid lattice token."""
-    return int(tok[1:].lstrip("0")) - 1, (1 if tok[0] == "a" else -1)
+    """(coordinate index, sign) of a valid lattice token, entered in _LETTERS."""
+    if len(_LETTERS) >= 1024:
+        _LETTERS.clear()
+    letter = _LETTERS[tok] = int(tok[1:].lstrip("0")) - 1, (1 if tok[0] == "a" else -1)
+    return letter
 
 
 class Word(tuple):
@@ -267,6 +280,27 @@ def _read_lexeme(lexeme: str, m: int) -> tuple[str, int]:
     return (up if sign > 0 else down), count
 
 
+def _cut(text: str, m: int) -> tuple[str, ...] | None:
+    """The tokens, at most WORD_LENGTH_CAP, of a text in a form format_word
+    prints, or None for the lexeme pattern: a chunk like 't12' is no token
+    (_read_lexeme reads it as 't'), and long chunks are read uncached."""
+    table = _LETTER_TOKENS[m if m <= 3 else 0]
+    if text.isalpha() and len(text) <= WORD_LENGTH_CAP and table.keys() >= set(text):
+        return tuple(map(table.__getitem__, text))
+    if text.isalpha() or not (text.isascii() and text.isalnum()):
+        return None
+    for letter in "aAtT":
+        text = text.replace(letter, " " + letter)
+    reads = dict.fromkeys(chunks := text.split())
+    if len(chunks) > WORD_LENGTH_CAP or max(map(len, reads)) > _CACHED_LEXEME:
+        return None
+    if not all(map(_valid_token, reads, repeat(m))):
+        return None
+    for chunk in reads:
+        reads[chunk] = _read_lexeme(chunk, m)[0]
+    return tuple(map(reads.__getitem__, chunks))
+
+
 def parse_word(text: str, m: int) -> Word:
     """Parse a word like 'ttabbTBTab' or 't^2a1A3^2' (see module docstring).
 
@@ -279,6 +313,8 @@ def parse_word(text: str, m: int) -> Word:
         raise ValueError("rank m must be at least 1")
     if m > WORD_LENGTH_CAP:
         raise BudgetError(f"rank {m} exceeds the supported cap {WORD_LENGTH_CAP}")
+    if tokens := _cut(text, m):
+        return _pack(Word, (m, tokens))
     # a text of letters alone has no index, power or space: each of its
     # characters is one lexeme
     lexemes = text if text.isalpha() else _LEXEME.findall(text)
@@ -294,12 +330,9 @@ def parse_word(text: str, m: int) -> Word:
         if sum(reads[x][1] for x in lexemes[: lexemes.index(lexeme)]) > WORD_LENGTH_CAP:
             raise _too_long() from None
         raise
-    single = all(count == 1 for _, count in reads.values())
-    if (len(lexemes) if single else sum(reads[x][1] for x in lexemes)) > WORD_LENGTH_CAP:
+    if sum(map(itemgetter(1), map(reads.__getitem__, lexemes))) > WORD_LENGTH_CAP:
         raise _too_long()
     # _read_lexeme range-checks every index, so the tokens need no re-check
-    if single:
-        return _pack(Word, (m, tuple(map(itemgetter(0), map(reads.__getitem__, lexemes)))))
     tokens: list[str] = []
     for lexeme in lexemes:
         tok, count = reads[lexeme]
@@ -332,6 +365,7 @@ def eval_word(word: Word) -> GroupElement:
     3^(-h-exp)."""
     nums = [0] * word.m
     h = exp = 0
+    letters, powers = _LETTERS, _POW3
     for tok in word.tokens:
         if tok == "t":
             h += 1
@@ -343,8 +377,11 @@ def eval_word(word: Word) -> GroupElement:
                 scale = 3**-k
                 nums = [n * scale for n in nums]
                 exp, k = -h, 0
-            index, sign = _letter(tok)
-            nums[index] += sign * 3**k
+            try:
+                index, sign = letters[tok]
+            except KeyError:
+                index, sign = _letter(tok)
+            nums[index] += sign * (powers[k] if k < 64 else 3**k)
     return _canonical(h, exp, nums)
 
 

@@ -197,6 +197,17 @@ def test_rational_and_latex_outputs_compute_no_prefix(capsys, monkeypatch, flags
 
 
 @pytest.mark.parametrize(
+    "flags,terms",
+    [(("--rational",), "5000"), (("--output", "latex"), "-1")],
+    ids=["rational-5000", "latex-minus-1"],
+)
+def test_terms_is_not_range_checked_where_no_prefix_is_printed(capsys, flags, terms):
+    argv = ("series", "--kind", "sub", "--m", "2", *flags)
+    rc, out, err = run_main(capsys, *argv, "--terms", terms)
+    assert (rc, out, err) == (0, *run_main(capsys, *argv)[1:])
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("census", "--m", "200", "--rmax", "24"),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horogrowth import group
+from horogrowth import geodesic, group
 from horogrowth.errors import BudgetError
+from horogrowth.geodesic import spell
 from horogrowth.group import (
     WORD_LENGTH_CAP,
     GroupElement,
@@ -530,6 +532,31 @@ def test_letters_only_texts_read_as_the_lexeme_pattern_cuts_them(text, m):
     assert _outcome(parse_word, text, m) == _outcome(parse_word, text + " ", m)
 
 
+# texts of a, A, t, T and digits, which parse_word cuts before each letter
+# without the lexeme pattern: valid tokens, tokens out of range at some m,
+# and pieces that join into chunks that are not tokens ('t1', a bare '5')
+cut_texts = st.lists(
+    st.sampled_from(
+        ["t", "T", *(f"a{i}" for i in range(1, 13)), "A07", "a0", "a13", "5", "t1"]
+    ),
+    max_size=16,
+).map("".join)
+
+
+@given(cut_texts, st.integers(1, 12))
+@settings(max_examples=400, deadline=None)
+@example("t12", 12)
+@example("a0", 12)
+@example("a01", 12)
+@example("A0001", 12)
+@example("5a1", 12)
+@example("a13", 12)
+@example("a1" * (WORD_LENGTH_CAP + 1), 12)
+@example("ta" + "0" * 29 + "7T", 12)
+def test_the_fast_cut_refuses_what_the_character_reader_refuses(text, m):
+    assert _outcome(parse_word, text, m) == _outcome(reference_parse_word, text, m)
+
+
 def test_digits_that_are_not_decimal_are_named_as_bad_characters():
     # str.isdigit admits superscripts and other scripts' digits, which
     # Word's token check refuses; lexemes take ASCII decimal digits only
@@ -614,7 +641,8 @@ def test_long_leading_zeros_read_as_their_index():
 
 
 def test_word_caches_are_bounded():
-    for cache in (group._valid_token, group._letter, group._read_lexeme):
+    caches = (group._valid_token, group._read_lexeme, geodesic._fragment)
+    for cache in caches:
         assert cache.cache_info().maxsize == 1024
     # short lexemes are read once; one with a long digit run is not cached
     group._read_lexeme.cache_clear()
@@ -622,6 +650,25 @@ def test_word_caches_are_bounded():
     assert group._read_lexeme.cache_info().currsize == 3
     parse_word("a1^" + "0" * 100 + "2", 1)
     assert group._read_lexeme.cache_info().currsize == 3
+    # a zero-padded token longer than _CACHED_LEXEME is read by no cache,
+    # in either the fast cut or the lexeme pattern
+    padded = "a" + "0" * group._CACHED_LEXEME + "1"
+    for text in (padded, f"t{padded}T", f"t {padded}"):
+        sizes = [len(group._LETTERS)] + [c.cache_info().currsize for c in caches]
+        assert parse_word(text, 1).tokens.count("a1") == 1
+        assert [len(group._LETTERS)] + [c.cache_info().currsize for c in caches] == sizes
+    # Word accepts a1 padded with any number of zeros: each is a distinct
+    # letter, and the letter table stays bounded, as it does over 2,000
+    # distinct short letters
+    for k in range(2000):
+        assert eval_word(Word(1, ("a" + "0" * k + "1",))).nums == (1,)
+    assert len(group._LETTERS) <= 1024
+    assert eval_word(Word(2000, tuple(f"a{i}" for i in range(1, 2001)))).nums == (1,) * 2000
+    assert len(group._LETTERS) <= 1024
+    rng = random.Random(8)
+    for _ in range(2000):
+        spell(8, tuple(rng.randint(-(3**6), 3**6) for _ in range(8)))
+    assert geodesic._fragment.cache_info().currsize <= 1024
 
 
 @pytest.mark.parametrize(
