@@ -25,10 +25,11 @@ census = coset_census(1, 8)
 for level in sorted(census.columns, reverse=True):
     print(f"chi({level}, 0..8) = {list(census.columns[level])}")
 
-# Two rational series reproduce the level columns.  They are summed in
-# closed form from the stem normal form T^n (w_1 t)...(w_j t), so their
-# numerators x - x^3 and 1 - x^2 are the same at every rank, and they
-# are certified against every census coefficient through the horizon.
+# Two rational series give the level columns.  They are summed in closed
+# form from the stem normal form T^n (w_1 t)...(w_j t), so their
+# numerators x - x^3 and 1 - x^2 are the same at every rank; the census
+# is read from their prefixes, and the census suite certifies both
+# against a dynamic-programming count of the stems through the horizon.
 fit = level_series(1)
 print("p_hat =", poly_str(fit.p_hat))
 print("q_hat =", poly_str(fit.q_hat))

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetError, FitError
+from .errors import BudgetError
 from .geodesic import spell
 from .group import (
     element_str,
@@ -293,9 +293,6 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except FitError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

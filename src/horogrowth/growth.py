@@ -1,5 +1,5 @@
 """Closed-form growth series of the lattice subgroup, its cosets, and the
-full group, plus an exact dynamic-programming census of coset distances.
+full group, each proved in its docstring, and the coset census they give.
 
 Every series is an ordinary generating function in x counting by word
 length over the standard generators. All arithmetic is exact.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import BudgetError, FitError
+from .errors import BudgetError
 from .series import (
     IntPolynomial,
     ONE,
@@ -28,10 +28,10 @@ from .series import (
 # public census horizon cap; deeper tables serve only the level-series check
 CENSUS_RMAX = 24
 # largest rank with closed forms: on a 2-vCPU host a cold positive_series(30),
-# the slowest, takes about 0.25 s and a cold full_series(30) about 0.04 s
+# the slowest, takes about 0.3 s and a cold full_series(30) about 0.01 s
 RANK_CAP = 30
 # largest stem depth of relative_growth_series: at rank 30, depth 24 takes
-# under 1 s and depth 32 about 4 s
+# about 0.3 s and depth 32 about 3 s
 STEM_DEPTH_CAP = 24
 
 
@@ -166,10 +166,10 @@ class CosetCensus:
 
 
 def _level_horizon(m: int) -> int:
-    # level_series certifies through x^(2(m + 4) + 6): it stays there because
-    # certified_to reports it in the census output and the census suite, and
-    # it is well past 2m + 5, the degrees of the numerator and denominator of
-    # X_0 added
+    # the census suite certifies the level series through x^(2(m + 4) + 6)
+    # against the stem table: it stays there because certified_to reports
+    # it in the census output and the suite, and it is well past 2m + 5, the
+    # degrees of the numerator and denominator of X_0 added
     return 2 * (m + 4) + 6
 
 
@@ -180,7 +180,7 @@ def _stem_columns(m: int) -> dict[int, tuple[int, ...]]:
     ways, and w_1 is nonempty whenever n >= 1.
 
     One table per rank, at horizon rmax = max(CENSUS_RMAX, the level-series
-    horizon); coset_census and level_series read slices of it.  One pass
+    horizon), which only the census suite and the tests read.  One pass
     over d = n - j, from rmax - 1 down to -rmax, carries the length
     coefficients of the stems with j >= 1 at that d, up to x^rmax.  Each
     step multiplies them by x W, which adds one block to every stem of the
@@ -208,8 +208,20 @@ def _stem_columns(m: int) -> dict[int, tuple[int, ...]]:
     return {level: tuple(col) for level, col in table.items()}
 
 
+@lru_cache(maxsize=None)
+def _census_columns(m: int) -> dict[int, tuple[int, ...]]:
+    ls = level_series(m)
+    minus1 = series_prefix(ls.X_minus1, CENSUS_RMAX).coeffs
+    table = {0: series_prefix(ls.X_0, CENSUS_RMAX).coeffs}
+    for k in range(1, CENSUS_RMAX + 1):
+        table[-k] = (0,) * (k - 1) + minus1[: CENSUS_RMAX + 2 - k]
+    return table
+
+
 def coset_census(m: int, rmax: int) -> CosetCensus:
-    """Exact counts of cosets of the lattice subgroup by level and distance."""
+    """Exact counts of cosets of the lattice subgroup by level and distance:
+    the prefixes of X_0 at level 0 and of x^k (1 - x^2)/D_m = x^(k-1) X_-1
+    at level -k (see level_series)."""
     _check_rank(m)
     if rmax < 0:
         raise ValueError("census horizon must be nonnegative")
@@ -217,30 +229,29 @@ def coset_census(m: int, rmax: int) -> CosetCensus:
         raise BudgetError(
             f"census horizon {rmax} exceeds the supported cap {CENSUS_RMAX}"
         )
-    table = _stem_columns(m)
+    table = _census_columns(m)
     return CosetCensus(m, rmax, {-n: table[-n][: rmax + 1] for n in range(rmax + 1)})
 
 
 # ---------------------------------------------------------------------------
-# level series in closed form, certified against the census
+# level series in closed form
 
 
 @dataclass(frozen=True)
 class LevelSeries:
-    """Certified generating functions of coset counts at levels -1 and 0."""
+    """Generating functions of coset counts at levels -1 and 0."""
 
     X_minus1: RationalFunction
     X_0: RationalFunction
     p_hat: IntPolynomial
     q_hat: IntPolynomial
-    certified_to: int
+    certified_to: int  # the census suite checks both against the stem table to here
 
 
 @lru_cache(maxsize=None)
 def level_series(m: int) -> LevelSeries:
     """Coset series at levels -1 and 0, summed from the stem normal form
-    (see _stem_columns) and certified against the first 2(m + 4) + 7
-    coefficients of the rank's stem table.
+    (see _stem_columns).
 
     The blocks w t together count x W, with W = (1+2x)^m, and the first
     block after T^n with n >= 1 counts x (W - 1), since it is nonempty.
@@ -252,19 +263,9 @@ def level_series(m: int) -> LevelSeries:
     p_hat = (1 - x^2 W) X_-1 = x - x^3 and
     q_hat = (1 - x W) X_0 - x W X_-1 = 1 - x^2."""
     _check_rank(m)
-    horizon = _level_horizon(m)
-    columns = _stem_columns(m)
-    p_hat = poly(0, 1, 0, -1)
-    q_hat = poly(1, 0, -1)
-    x_minus1 = rf_normalize(p_hat, _block_denominator(m))
-    xw = suffix_poly(m).shift(1)
-    x_zero = rf_normalize(q_hat, (ONE - xw) * _block_denominator(m))
-    for level, f in ((-1, x_minus1), (0, x_zero)):
-        if list(series_prefix(f, horizon)) != list(columns[level][: horizon + 1]):
-            raise FitError(
-                f"level {level} series fails certification against the census"
-            )
-    return LevelSeries(x_minus1, x_zero, p_hat, q_hat, horizon)
+    p_hat, q_hat, d = poly(0, 1, 0, -1), poly(1, 0, -1), _block_denominator(m)
+    x_zero = rf_normalize(q_hat, (ONE - suffix_poly(m).shift(1)) * d)
+    return LevelSeries(rf_normalize(p_hat, d), x_zero, p_hat, q_hat, _level_horizon(m))
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +274,25 @@ def level_series(m: int) -> LevelSeries:
 
 def relative_growth_series(m: int, n: int) -> RationalFunction:
     """Growth series of the coset T^n times the lattice, counted relative to
-    the stem length: W_m^n times the subgroup series."""
+    the stem length: W_m^n times the subgroup series S.
+
+    W^n S.num over S.den is already canonical.  S.den divides D_m, and
+    D_m(-1/2) = 1, so 1 + 2x, the one prime factor of W = (1+2x)^m, is
+    prime to S.den, as S.num is.  W is primitive, so by Gauss's lemma the
+    content of W^n S.num is that of S.num.  The denominator is S's own."""
     _check_rank(m)
     if n < 0:
         raise ValueError("stem depth n must be nonnegative")
     if n > STEM_DEPTH_CAP:
         raise BudgetError(f"stem depth {n} exceeds the supported cap {STEM_DEPTH_CAP}")
     s = subgroup_series(m)
-    return rf_normalize(suffix_poly(m) ** n * s.num, s.den)
+    return RationalFunction(suffix_poly(m) ** n * s.num, s.den)
 
 
 @lru_cache(maxsize=None)
 def full_series(m: int) -> RationalFunction:
     """Growth series of the whole group, S X_0 + S X_-1 W/(1 - x W) with S
-    the subgroup series and X_0, X_-1 the certified level series.  Since
+    the subgroup series and X_0, X_-1 the level series.  Since
     X_0 = q_hat/((1 - x W) D) and X_-1 = p_hat/D, with D = 1 - x^2 W, the
     sum is S (q_hat + p_hat W) / ((1 - x W) D), reduced against the
     subgroup denominator, 1 - x W and D one factor at a time.  The census

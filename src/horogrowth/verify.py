@@ -9,8 +9,8 @@ Suites:
   appendix  closed forms and series rows against the published tables
   bfs       closed forms against brute-force Cayley-graph enumeration
   language  geodesic spelling: round trip, minimality, level tiling
-  census    coset census: stem DP vs enumeration, certified level series, the
-            full series against its product form
+  census    coset census and level series against enumeration and the stem DP,
+            the full series against its product form
   gfsa      automaton growth against closed forms and word enumeration
 """
 from __future__ import annotations
@@ -20,7 +20,6 @@ from functools import lru_cache
 from importlib import resources
 
 from .bfs import _orbits, bfs_spheres, coset_distance_census, relative_growth
-from .errors import FitError
 from .geodesic import (
     _level_ranges,
     level_box,
@@ -37,6 +36,8 @@ from .gfsa import (
 )
 from .group import eval_word, format_word, is_horocyclic, parse_word
 from .growth import (
+    CosetCensus,
+    _stem_columns,
     cap_poly,
     coset_census,
     full_series,
@@ -324,69 +325,69 @@ _STEMS = (("", 0), ("t", 0), ("T", 1), ("TT", 2))
 
 
 def verify_census(m: int | None = None, radius: int | None = None) -> dict:
-    """Check the coset census and the level series against enumeration."""
+    """Check the census and level series against enumeration and the stem DP."""
     ms = [m] if m is not None else [1, 2]
     checks = []
     for mm in ms:
         r = radius if radius is not None else _CENSUS_RADIUS.get(mm, 6)
-        enumerated = coset_distance_census(mm, r)
-        derived = coset_census(mm, r)
-        witness = None
-        if enumerated != derived:
-            witness = next(
-                (
-                    {
-                        "level": level,
-                        "enumerated": list(enumerated.column(level)),
-                        "derived": list(derived.column(level)),
-                    }
-                    for level in range(0, -(r + 1), -1)
-                    if enumerated.column(level) != derived.column(level)
-                ),
-                {"note": "censuses differ"},
-            )
+        censuses = {
+            "enumerated": coset_distance_census(mm, r),
+            "derived": coset_census(mm, r),
+        }
+        stems = _stem_columns(mm)
+        censuses["stem"] = CosetCensus(mm, r, {-n: stems[-n][: r + 1] for n in range(r + 1)})
+        witness = next(
+            (
+                {"level": level, **{k: list(c.column(level)) for k, c in censuses.items()}}
+                for level in range(0, -(r + 1), -1)
+                if len({c.column(level) for c in censuses.values()}) > 1
+            ),
+            {"note": "censuses differ"},
+        )
         checks.append(
             _check(
                 f"rank {mm}: stem count equals enumerated census to radius {r}",
-                enumerated == derived,
+                censuses["enumerated"] == censuses["derived"] == censuses["stem"],
                 witness,
             )
         )
-        try:
-            ls = level_series(mm)
-        except FitError as exc:
-            checks.append(
-                _check(f"rank {mm}: level-series fit", False, {"error": str(exc)})
+        ls = level_series(mm)
+        witness = next(
+            (
+                {"level": level, "power": k, "closed_form": a, "stem_table": b}
+                for level, f in ((-1, ls.X_minus1), (0, ls.X_0))
+                for k, (a, b) in enumerate(zip(series_prefix(f, ls.certified_to), stems[level]))
+                if a != b
+            ),
+            None,
+        )
+        checks.append(
+            _check(
+                f"rank {mm}: level series certified through x^{ls.certified_to}",
+                witness is None,
+                witness,
+                data={
+                    "p_hat": poly_str(ls.p_hat),
+                    "q_hat": poly_str(ls.q_hat),
+                    "certified_to": ls.certified_to,
+                },
             )
-        else:
-            # level_series raises FitError unless its own horizon is certified
-            checks.append(
-                _check(
-                    f"rank {mm}: level series certified through x^{ls.certified_to}",
-                    True,
-                    data={
-                        "p_hat": poly_str(ls.p_hat),
-                        "q_hat": poly_str(ls.q_hat),
-                        "certified_to": ls.certified_to,
-                    },
-                )
+        )
+        w, assembled = suffix_poly(mm), full_series(mm)
+        product = rf_mul(
+            subgroup_series(mm),
+            rf_normalize(
+                poly(1, 0, -1) * (ONE + w.shift(1)),
+                (ONE - w.shift(1)) * (ONE - w.shift(2)),
+            ),
+        )
+        checks.append(
+            _check(
+                f"rank {mm}: assembled full series equals its product form",
+                assembled == product,
+                {"computed": rf_str(assembled), "expected": rf_str(product)},
             )
-            # full_series needs the level series, so only a certified rank has one
-            w, assembled = suffix_poly(mm), full_series(mm)
-            product = rf_mul(
-                subgroup_series(mm),
-                rf_normalize(
-                    poly(1, 0, -1) * (ONE + w.shift(1)),
-                    (ONE - w.shift(1)) * (ONE - w.shift(2)),
-                ),
-            )
-            checks.append(
-                _check(
-                    f"rank {mm}: assembled full series equals its product form",
-                    assembled == product,
-                    {"computed": rf_str(assembled), "expected": rf_str(product)},
-                )
-            )
+        )
         rr = 6 if mm == 1 else 4
         for stem_text, n in _STEMS:
             stem = parse_word(stem_text, mm)

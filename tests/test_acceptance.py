@@ -12,7 +12,6 @@ from horogrowth.bfs import (
     coset_distance_census,
     relative_growth,
 )
-from horogrowth.errors import FitError
 from horogrowth.geodesic import (
     check_level_ranges,
     enumerate_level,
@@ -30,6 +29,7 @@ from horogrowth.gfsa import (
 )
 from horogrowth.group import eval_word, is_horocyclic, parse_word
 from horogrowth.growth import (
+    _stem_columns,
     cap_poly,
     cap_poly_recursive,
     coset_census,
@@ -189,24 +189,28 @@ def test_criterion_5_geodesic_language(capsys):
 def test_criterion_6_census_certification(capsys):
     problems = []
     for m in (1, 2):
-        if coset_distance_census(m, 8) != coset_census(m, 8):
+        derived = coset_census(m, 8)
+        if coset_distance_census(m, 8) != derived:
             problems.append(f"census mismatch at rank {m}")
+        if derived.columns != {-n: _stem_columns(m)[-n][:9] for n in range(9)}:
+            problems.append(f"closed-form census differs from the stem DP at rank {m}")
     for m in (1, 2, 3):
         horizon = 2 * (m + 4) + 6
-        try:
-            fit = level_series(m)
-        except FitError as exc:
-            problems.append(f"level-series fit fails at rank {m}: {exc}")
-            continue
+        fit = level_series(m)
         if fit.certified_to < horizon:
             problems.append(f"rank {m} certified only to {fit.certified_to}")
+        stems = _stem_columns(m)
+        for level, f in ((-1, fit.X_minus1), (0, fit.X_0)):
+            if list(series_prefix(f, horizon)) != list(stems[level][: horizon + 1]):
+                problems.append(f"rank {m} level {level} series differs from the stem DP")
     for stem_text, n in (("", 0), ("t", 0), ("T", 1), ("TT", 2)):
         got = relative_growth(1, parse_word(stem_text, 1), 6)
         want = list(series_prefix(relative_growth_series(1, n), 6))
         if got != want:
             problems.append(f"relative growth below {stem_text or 'e'}: {got} vs {want}")
     _report(capsys, 6, "census certification", problems,
-            "stem DP equals enumeration (r<=8), fits certified, relative growth exact")
+            "stem DP and closed forms equal enumeration (r<=8), level series equal "
+            "the stem DP, relative growth exact")
 
 
 def test_criterion_7_gfsa_engine(capsys):

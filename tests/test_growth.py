@@ -15,8 +15,8 @@ from itertools import product
 
 import pytest
 
-from horogrowth import growth
-from horogrowth.errors import BudgetError, FitError
+from horogrowth import growth, verify
+from horogrowth.errors import BudgetError
 from horogrowth.geodesic import word_length
 from horogrowth.growth import (
     CENSUS_RMAX,
@@ -38,10 +38,12 @@ from horogrowth.growth import (
 from horogrowth.series import (
     IntPolynomial,
     ONE,
+    RationalFunction,
     X,
     ZERO,
     exact_div,
     poly,
+    poly_gcd,
     rf_add,
     rf_div,
     rf_mul,
@@ -525,23 +527,45 @@ def test_level_series_digest_at_the_rank_cap():
     )
 
 
-@pytest.fixture
-def fresh_level_series():
-    level_series.cache_clear()
-    full_series.cache_clear()
-    yield
-    level_series.cache_clear()
-    full_series.cache_clear()
-
-
-@pytest.mark.parametrize("m", [1, 7])
-def test_full_series_needs_a_certified_level_series(monkeypatch, fresh_level_series, m):
+@pytest.mark.parametrize("m", [1, 3])
+def test_census_suite_fails_on_a_broken_stem_table(monkeypatch, m):
+    # rank 3 is the largest the suite's graph search reaches
     table = growth._stem_columns(m)
     broken = list(table[-1])
     broken[3] += 1
-    monkeypatch.setattr(growth, "_stem_columns", lambda rank: {**table, -1: tuple(broken)})
-    with pytest.raises(FitError):
-        full_series(m)
+    monkeypatch.setattr(verify, "_stem_columns", lambda rank: {**table, -1: tuple(broken)})
+    report = verify.verify_census(m, radius=4)
+    assert report["pass"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    fit = checks[f"rank {m}: level series certified through x^{2 * (m + 4) + 6}"]
+    assert fit["witness"] == {"level": -1, "power": 3, "closed_form": 0, "stem_table": 1}
+    census = checks[f"rank {m}: stem count equals enumerated census to radius 4"]
+    assert census["pass"] is False
+    assert census["witness"]["level"] == -1
+    assert census["witness"]["stem"][3] == census["witness"]["derived"][3] + 1
+    assert census["witness"]["enumerated"] == census["witness"]["derived"]
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == [census["name"], fit["name"]]
+
+
+def test_public_calls_never_read_the_stem_table(monkeypatch):
+    m = 17
+    want = (
+        full_series(m), level_series(m), coset_census(m, CENSUS_RMAX),
+        relative_growth_series(m, 3),
+    )
+
+    def no_stems(rank):
+        raise AssertionError("a public call read the stem table")
+
+    for f in vars(growth).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    monkeypatch.setattr(growth, "_stem_columns", no_stems)
+    got = (
+        full_series(m), level_series(m), coset_census(m, CENSUS_RMAX),
+        relative_growth_series(m, 3),
+    )
+    assert got == want
 
 
 def test_level_series_prefix_goldens():
@@ -574,6 +598,85 @@ def test_level_series_matches_census_through_horizon(m):
     col_zero = [table.get((0, r), 0) for r in range(horizon + 1)]
     assert list(series_prefix(ls.X_minus1, horizon)) == col_minus1
     assert list(series_prefix(ls.X_0, horizon)) == col_zero
+
+
+# ---------------------------------------------------------------------------
+# the stem DP against the closed forms at every rank: what makes the census
+# output's "certified through x^h" hold at every rank the CLI accepts
+
+
+def stem_census(m: int, rmax: int) -> dict[int, tuple[int, ...]]:
+    table = growth._stem_columns(m)
+    return {-n: table[-n][: rmax + 1] for n in range(rmax + 1)}
+
+
+def truncated_product(a, b, h: int) -> list[int]:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(h + 1)]
+
+
+def stem_full_prefix(m: int, h: int) -> list[int]:
+    """The full series through x^h assembled from the stem table's level
+    columns, S (X_0 + X_-1 W/(1 - x W))."""
+    table = growth._stem_columns(m)
+    climb = series_prefix(rf_normalize(suffix_poly(m), one_minus_xw(m)), h)
+    levels = [a + b for a, b in zip(table[0], truncated_product(table[-1], climb, h))]
+    return truncated_product(series_prefix(subgroup_series(m), h), levels, h)
+
+
+def one_line_full(m: int, climb=True, squared=True) -> RationalFunction:
+    """c^m (1 - x^2)^2 (1 + x W)/((1 - x W) D_m^2), unreduced; climb=False
+    drops the (1 + x W) factor and squared=False leaves one D_m."""
+    num = poly(1, 2, 2) ** m * poly(1, 0, -1) ** 2
+    den = one_minus_xw(m) * one_minus_x2w(m) ** (2 if squared else 1)
+    return RationalFunction(num * (ONE + X * suffix_poly(m)) if climb else num, den)
+
+
+@pytest.mark.parametrize("m", range(1, RANK_CAP + 1))
+def test_stem_table_equals_the_closed_form_census(m):
+    assert coset_census(m, CENSUS_RMAX).columns == stem_census(m, CENSUS_RMAX)
+
+
+@pytest.mark.parametrize("m", range(1, RANK_CAP + 1))
+def test_level_series_equal_the_stem_table(m):
+    ls = level_series(m)
+    h = ls.certified_to
+    assert h == growth._level_horizon(m)
+    table = growth._stem_columns(m)
+    assert list(series_prefix(ls.X_minus1, h)) == list(table[-1][: h + 1])
+    assert list(series_prefix(ls.X_0, h)) == list(table[0][: h + 1])
+
+
+@pytest.mark.parametrize("m", range(1, RANK_CAP + 1))
+def test_full_series_equals_the_stem_assembly(m):
+    h = growth._level_horizon(m)
+    f, g = full_series(m), one_line_full(m)
+    assert f.num * g.den == g.num * f.den
+    assert list(series_prefix(f, h)) == stem_full_prefix(m, h)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [lambda m: one_line_full(m, climb=False), lambda m: one_line_full(m, squared=False)],
+    ids=["no-climb-factor", "single-D"],
+)
+def test_full_series_mutants_fail_the_stem_assembly(mutant):
+    for m in range(1, RANK_CAP + 1):
+        h = growth._level_horizon(m)
+        assert list(series_prefix(mutant(m), h)) != stem_full_prefix(m, h), m
+
+
+@pytest.mark.parametrize("m", range(1, RANK_CAP + 1))
+def test_suffix_poly_is_prime_to_the_subgroup_denominator(m):
+    # the fact that lets relative_growth_series skip its reduction
+    assert poly_gcd(suffix_poly(m), subgroup_series(m).den) == ONE
+
+
+@pytest.mark.parametrize("m", range(1, RANK_CAP + 1))
+def test_relative_growth_series_is_already_reduced(m):
+    s = subgroup_series(m)
+    depths = [0, 1, 2] + ([STEM_DEPTH_CAP] if m <= 3 else [])
+    for n in depths:
+        assert relative_growth_series(m, n) == rf_normalize(suffix_poly(m) ** n * s.num, s.den), n
 
 
 # ---------------------------------------------------------------------------

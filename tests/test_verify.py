@@ -4,11 +4,12 @@ diagnostics for the published full-group forms."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import horogrowth.verify as verify
-from horogrowth.errors import BudgetError, FitError
+from horogrowth.errors import BudgetError
 from horogrowth.series import ONE, poly, poly_str, rf_normalize
 from horogrowth.verify import SUITES, run_suite
 
@@ -107,18 +108,23 @@ def test_census_checks_full_series_against_its_product_form(monkeypatch):
 
 
 def test_census_reports_a_failed_level_series_fit(monkeypatch):
-    def unfitted(m):
-        raise FitError("no fit")
+    good = verify.level_series
 
-    # full_series is built from the level series, so it fails with it
+    def unfitted(m):
+        ls = good(m)
+        return replace(ls, X_0=rf_normalize(ls.X_0.num + poly(0, 0, 0, 0, 0, 1), ls.X_0.den))
+
     monkeypatch.setattr(verify, "level_series", unfitted)
-    monkeypatch.setattr(verify, "full_series", unfitted)
     report = verify.verify_census(m=1)
     assert report["pass"] is False
-    fit = next(c for c in report["checks"] if c["name"] == "rank 1: level-series fit")
-    assert fit["pass"] is False
-    assert fit["witness"] == {"error": "no fit"}
-    assert not any("product form" in c["name"] for c in report["checks"])
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["rank 1: level series certified through x^16"]
+    fit = next(c for c in report["checks"] if c["name"] == failed[0])
+    # X_0 at rank 1 starts 1, 1, 3, 7, 13, 29
+    assert fit["witness"] == {"level": 0, "power": 5, "closed_form": 30, "stem_table": 29}
+    assert fit["data"]["certified_to"] == 16
+    # the full series no longer reads a certified level series, so its check still runs
+    assert any("product form" in c["name"] for c in report["checks"])
 
 
 def test_census_reports_fitted_numerators():
