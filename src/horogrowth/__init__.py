@@ -50,7 +50,6 @@ from .group import (
     element_to_json,
     eval_word,
     format_word,
-    inverse,
     is_horocyclic,
     max_height,
     multiply,
@@ -61,7 +60,6 @@ from .growth import (
     CosetCensus,
     LevelSeries,
     cap_poly,
-    cap_poly_recursive,
     coset_census,
     full_series,
     level_series,
@@ -84,7 +82,6 @@ from .series import (
     poly_gcd,
     poly_latex,
     poly_str,
-    rf_add,
     rf_div,
     rf_latex,
     rf_mul,
@@ -130,7 +127,6 @@ __all__ = [
     "build_quadrant_fsa",
     "build_quadrant_gfsa",
     "cap_poly",
-    "cap_poly_recursive",
     "check_level_ranges",
     "coset_census",
     "coset_distance_census",
@@ -144,7 +140,6 @@ __all__ = [
     "exact_div",
     "format_word",
     "full_series",
-    "inverse",
     "is_horocyclic",
     "level_box",
     "level_series",
@@ -161,7 +156,6 @@ __all__ = [
     "quadrant_expected_growth",
     "relative_growth",
     "relative_growth_series",
-    "rf_add",
     "rf_div",
     "rf_latex",
     "rf_mul",

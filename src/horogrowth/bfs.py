@@ -21,10 +21,11 @@ discarded and BudgetError raised, keeping the whole spheres.
 
 The search steps from a representative to the next orbits directly.  A
 t-move keeps the sorted |nums|.  A lattice move adds +-3^k, k = exp + tee,
-to one entry per run of equal |nums| and re-sorts; only a move that
-rescales nums (k < 0) or may make them all divisible by 3 (k = 0 < exp)
-goes through group.step.  A coset key with k = 0 has no residues to
-reduce, so it is already the key of its coset orbit.
+to one entry per run of equal |nums| and re-sorts, after rescaling nums to
+the denominator 3^-tee when k < 0; only when k = 0 < exp, where the move
+may make every entry divisible by 3, is the neighbour reduced.  A coset
+key with k = 0 has no residues to reduce, so it is already the key of its
+coset orbit.
 
 The distance to a lattice element g = a^vec is a bidirectional search on
 the same quotient: it scans one sphere, two short of halfway along the
@@ -47,7 +48,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetError
 from .geodesic import word_length
-from .group import GroupElement, Word, _pack, coset_key, eval_word, is_horocyclic, step
+from .group import GroupElement, Word, _canonical, _pack, coset_key, eval_word, is_horocyclic
 from .growth import CosetCensus
 
 RADIUS_CAP = {1: 12, 2: 9, 3: 7}
@@ -94,20 +95,19 @@ def _orbit_neighbours(g: GroupElement) -> list[GroupElement]:
     |coordinates|, and a single sign on a zero coordinate.
 
     A t-move keeps nums, already sorted and nonnegative.  A lattice move
-    adds +-3^k to one entry, k = exp + tee, and keeps exp unless k < 0 (the
-    sum needs the finer denominator 3^-tee) or k = 0 < exp (adding +-1 can
-    make every entry divisible by 3): those moves go through group.step."""
+    adds +-3^k to one entry, k = exp + tee.  When k < 0 the sum needs the
+    finer denominator 3^-tee: over it every entry is divisible by 3 and the
+    moved one is +-1 mod 3, so the neighbour is canonical.  When
+    k = 0 < exp, adding +-1 can make every entry divisible by 3, so the
+    neighbour is reduced."""
     tee, exp, nums = g
     nbs = [_pack(GroupElement, (tee + 1, exp, nums)), _pack(GroupElement, (tee - 1, exp, nums))]
     k = exp + tee
-    if k < 0 or (k == 0 and exp):
-        for i, x in enumerate(nums):
-            if i and x == nums[i - 1]:
-                continue
-            for sign in (1, -1) if x else (1,):
-                _, e, vec = step(g, i, sign)
-                nbs.append(_pack(GroupElement, (tee, e, tuple(sorted(map(abs, vec))))))
-        return nbs
+    reduce = k == 0 and exp > 0
+    if k < 0:
+        scale = 3**-k
+        nums = [x * scale for x in nums]
+        exp, k = -tee, 0
     unit = 3**k
     for i, x in enumerate(nums):
         if i and x == nums[i - 1]:
@@ -118,6 +118,8 @@ def _orbit_neighbours(g: GroupElement) -> list[GroupElement]:
         if x:
             vec[i] = abs(x - unit)
             nbs.append(_pack(GroupElement, (tee, exp, tuple(sorted(vec)))))
+    if reduce:
+        nbs[2:] = [_canonical(*nb) for nb in nbs[2:]]
     return nbs
 
 

@@ -4,21 +4,21 @@ Every integer e has a balanced ternary expansion with digits in
 {-1, 0, 1}.  A lattice vector is spelled from one rule.  Its top index N
 is the least n with max |v_i| <= (5 3^n - 1)/2.  A coordinate whose
 balanced form would reach index N+1, which happens exactly when
-2|v_i| > 3^(N+1) - 1, takes a lead digit 2 at index N; every other
-coordinate has lead 0.  Below the lead come the balanced digits of
-|v_i| - lead 3^N.  The word is t^N followed by the digit blocks per
+2|v_i| > 3^(N+1) - 1, takes a lead digit 2 with v_i's sign at index N;
+every other coordinate has lead 0.  Below the lead come the balanced
+digits of v_i - lead 3^N.  Balanced ternary is odd, so -v is spelled with
+every digit negated.  The word is t^N followed by the digit blocks per
 level, highest first, separated by single T steps; its length is 2N
-plus the sum of the leads and absolute digits, and it is a geodesic.
+plus the sum of the absolute leads and digits, and it is a geodesic.
 
 The digit rule is one table, built at import: for every residue r mod
 3^6, the six balanced ternary digits of r - 364 and their weight, the
 sum of |digit|.  An integer e is expanded six digits per step as
 e = 729 ((e + 364) // 729) + (r - 364) with r = (e + 364) mod 729, so
-balanced_digits, the expansion behind spell, and word_length, which sums
-weights and builds no digits, all read the same table.  spell folds each
-coordinate's sign into its digits and emits one fragment per level: the
-level's column of signed digits maps to its tokens and a T through one
-bounded cache.
+balanced_digits, which spell calls once per coordinate, and word_length,
+which sums weights and builds no digits, read the same table.  spell
+emits one fragment per level: the level's column of signed digits maps
+to its tokens and a T through one bounded cache.
 
 The level language for descent depth n enumerates the canonical words
 for all vectors in the box shell [0, (3^(n+2)-1)/2]^m minus
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import neg
 
 from .errors import BudgetError
 from .group import Word, _pack, eval_word, is_horocyclic, max_height
@@ -78,18 +77,6 @@ def _top(peak: int) -> tuple[int, int]:
     return top, power
 
 
-def _expansion(vec) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """Top index N and, per coordinate v, its lead (2 at index N, or 0)
-    and the balanced digits of |v| - lead 3^N below the lead."""
-    mags = [abs(v) for v in vec]
-    top, power = _top(max(mags))
-    band = 3 * power - 1
-    return top, [
-        (2, balanced_digits(e - 2 * power)) if 2 * e > band else (0, balanced_digits(e))
-        for e in mags
-    ]
-
-
 @lru_cache(maxsize=1024)
 def _fragment(column: tuple[int, ...]) -> tuple[str, ...]:
     """The tokens of one level, then T: per coordinate i, a signed digit d
@@ -107,12 +94,15 @@ def spell(m: int, vec: tuple[int, ...]) -> Word:
         raise ValueError("vector length does not match m")
     if not any(vec):
         return _pack(Word, (m, ()))
-    top, coords = _expansion(vec)
+    top, power = _top(max(map(abs, vec)))
+    band = 3 * power - 1
     rows = []  # per coordinate, its signed digits at indices top..0
-    for v, (lead, digits) in zip(vec, coords):
+    for v in vec:
+        lead = (2 if v > 0 else -2) if 2 * abs(v) > band else 0
+        digits = balanced_digits(v - lead * power)
         row = [*repeat(0, top + 1 - len(digits)), *digits[::-1]]
         row[0] += lead
-        rows.append(row if v > 0 else list(map(neg, row)))
+        rows.append(row)
     tokens = ["t"] * top
     tokens += _flat(map(_fragment, zip(*rows)))
     tokens.pop()  # the T after level 0

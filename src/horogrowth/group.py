@@ -114,36 +114,6 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     )
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    s, e, u = g
-    # -3^(-s) u / 3^e over the denominator 3^d
-    d = max(e + s, 0)
-    return _canonical(-s, d, [-x * 3 ** (d - e - s) for x in u])
-
-
-def step(g: GroupElement, index: int, sign: int) -> GroupElement:
-    """g times one generator: a_(index+1)^sign for index >= 0, t^sign for
-    index < 0.  The fast path of multiply for breadth-first enumeration."""
-    tee, exp, nums = g
-    if index < 0:
-        return _pack(GroupElement, (tee + sign, exp, nums))
-    # a_i^sign at height tee adds sign * 3^tee = sign * 3^k / 3^exp
-    k = exp + tee
-    if k < 0:
-        # over the finer denominator 3^-tee the new entry is sign mod 3,
-        # so the result is canonical
-        scale = 3**-k
-        new = [n * scale for n in nums]
-        new[index] += sign
-        return _pack(GroupElement, (tee, -tee, tuple(new)))
-    new = list(nums)
-    new[index] += sign * 3**k
-    if k == 0 and exp:
-        # only adding +-1 can make every entry divisible by 3
-        return _canonical(tee, exp, new)
-    return _pack(GroupElement, (tee, exp, tuple(new)))
-
-
 def is_horocyclic(g: GroupElement) -> bool:
     """True when g lies in the lattice Z^m (height 0, integer coordinates)."""
     return g.tee == 0 and g.exp == 0

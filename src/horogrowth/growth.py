@@ -60,17 +60,6 @@ def cap_poly(m: int) -> IntPolynomial:
     return X ** (2 * m) + suffix_poly(m).shift(m + 2) - X ** (2 * m + 2)
 
 
-def cap_poly_recursive(m: int) -> IntPolynomial:
-    """Same polynomial computed by peeling one coordinate at a time."""
-    _check_rank(m)
-    v1 = poly(0, 0, 1, 1, 1)
-    v = v1
-    for k in range(2, m + 1):
-        lower = X ** (2 * (k - 1))
-        v = poly(0, 1, 2) * (v - lower) + lower * v1
-    return v
-
-
 @lru_cache(maxsize=None)
 def _block_denominator(k: int) -> IntPolynomial:
     # D_k = 1 - x^2 (1+2x)^k, with D_0 = 1 - x^2

@@ -86,8 +86,9 @@ class IntPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return result
 
     def shift(self, k: int):
@@ -244,10 +245,6 @@ def rf_reduce(num, factors) -> RationalFunction:
     if low < 0:
         num, den = -num, -den
     return RationalFunction(num, den)
-
-
-def rf_add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    return rf_normalize(f.num * g.den + g.num * f.den, f.den * g.den)
 
 
 def rf_sub(f: RationalFunction, g: RationalFunction) -> RationalFunction:

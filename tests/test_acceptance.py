@@ -31,7 +31,6 @@ from horogrowth.group import eval_word, is_horocyclic, parse_word
 from horogrowth.growth import (
     _stem_columns,
     cap_poly,
-    cap_poly_recursive,
     coset_census,
     full_series,
     level_series,
@@ -45,6 +44,7 @@ from horogrowth.growth import (
 from horogrowth.series import ONE, poly, rf_mul, rf_normalize, series_prefix
 from horogrowth.verify import _golden, _rational_of
 
+from certificates import cap_poly_recursive
 from flat_bfs import flat_ball
 
 RF_ONE = rf_normalize(ONE, ONE)

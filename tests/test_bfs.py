@@ -43,16 +43,15 @@ from horogrowth.group import (
     Word,
     coset_key,
     eval_word,
-    inverse,
     is_horocyclic,
     multiply,
     parse_word,
-    step,
 )
 from horogrowth.growth import CosetCensus, coset_census, full_series, subgroup_series
 from horogrowth.series import poly, rf_mul, rf_normalize, series_prefix
 
-from flat_bfs import flat_ball, moves, representative
+from certificates import inverse
+from flat_bfs import flat_ball, moves, representative, step
 
 
 def brute_spheres(m: int, max_len: int):
@@ -602,13 +601,14 @@ def test_element_distance_refuses_an_underestimate(monkeypatch):
 def test_distance_search_runs_no_group_product(monkeypatch):
     far = [(-40, -36), (-40, -6), (-20, -19, -9)]
     for v in far:
-        list(_orbits(len(v), far_radius(len(v), 12)))  # grown by group.step
+        list(_orbits(len(v), far_radius(len(v), 12)))  # grown by the orbit step
 
     def product(*args):
         raise AssertionError("the distance search ran a general group product")
 
     monkeypatch.setattr(group, "multiply", product)
     monkeypatch.setattr(group, "_canonical", product)
+    monkeypatch.setattr(bfs, "_canonical", product)
     monkeypatch.setattr(bfs, "multiply", product, raising=False)
     for v in far:
         assert element_distance(len(v), v) == 12

@@ -22,7 +22,6 @@ from horogrowth.errors import BudgetError
 from horogrowth.geodesic import (
     LEVEL_WORD_CAP,
     _compositions,
-    _expansion,
     _ordered_partitions,
     balanced_digits,
     check_level_ranges,
@@ -58,28 +57,41 @@ def test_balanced_digits_reconstruct(e):
 
 
 def _rows(vec):
-    """The expansion of vec as (N, digit rows of length N+1), as spell pads it."""
-    top, coords = _expansion(vec)
-    rows = []
-    for lead, digits in coords:
-        row = list(digits) + [0] * (top + 1 - len(digits))
-        row[top] += lead
-        rows.append(tuple(row))
-    return top, tuple(rows)
+    """The signed digit rows of spell(m, vec), read back from its word: the
+    top index N (the count of leading t's) and, per coordinate, its digits
+    at indices 0..N, a level's digit being its a<i> count less its A<i>
+    count."""
+    tokens = spell(len(vec), tuple(vec)).tokens
+    top = 0
+    while top < len(tokens) and tokens[top] == "t":
+        top += 1
+    rows = [[0] * (top + 1) for _ in vec]
+    level = top
+    for tok in tokens[top:]:
+        if tok == "T":
+            level -= 1
+        else:
+            rows[int(tok[1:]) - 1][level] += 1 if tok[0] == "a" else -1
+    assert level == 0
+    return top, tuple(map(tuple, rows))
 
 
 def test_two_led_digits_hand_values():
     # a lone coordinate in a band [(3^(k+1)+1)/2, (5 3^k - 1)/2] leads with 2
-    assert _expansion((5,)) == (1, [(2, (-1,))])
-    assert _expansion((6,)) == (1, [(2, ())])
-    assert _expansion((7,)) == (1, [(2, (1,))])
-    assert _expansion((16,)) == (2, [(2, (1, -1))])
-    assert _expansion((2,)) == (0, [(2, ())])
+    assert _rows((5,)) == (1, ((-1, 2),))
+    assert _rows((6,)) == (1, ((0, 2),))
+    assert _rows((7,)) == (1, ((1, 2),))
+    assert _rows((16,)) == (2, ((1, -1, 2),))
+    assert _rows((2,)) == (0, ((2,),))
     # outside every band it keeps its balanced digits
-    assert _expansion((4,)) == (1, [(0, (1, 1))])
-    assert _expansion((8,)) == (2, [(0, (-1, 0, 1))])
-    assert _expansion((13,)) == (2, [(0, (1, 1, 1))])
-    assert _expansion((1,)) == (0, [(0, (1,))])
+    assert _rows((4,)) == (1, ((1, 1),))
+    assert _rows((8,)) == (2, ((-1, 0, 1),))
+    assert _rows((13,)) == (2, ((1, 1, 1),))
+    assert _rows((1,)) == (0, ((1,),))
+    # a negative coordinate leads with -2, over the negated digits
+    assert _rows((-5,)) == (1, ((1, -2),))
+    assert _rows((-16,)) == (2, ((-1, 1, -2),))
+    assert _rows((-8,)) == (2, ((1, 0, -1),))
 
 
 _VECTORS = st.lists(st.integers(0, 3000), min_size=1, max_size=3).filter(any)
@@ -91,15 +103,15 @@ _VECTORS = st.lists(st.integers(0, 3000), min_size=1, max_size=3).filter(any)
 @example([7, 8])
 @example([13, 0, 14])
 def test_two_led_existence_interval(vec):
-    top, coords = _expansion(vec)
+    top, rows = _rows(vec)
     # N is the least n with max(vec) <= (5 3^n - 1)/2
     assert max(vec) <= (5 * 3**top - 1) // 2
     assert top == 0 or max(vec) > (5 * 3 ** (top - 1) - 1) // 2
-    for (lead, _), v in zip(coords, vec):
+    for row, v in zip(rows, vec):
         # the lead is 2 exactly on the band [(3^(N+1)+1)/2, (5 3^N - 1)/2],
         # which is where balanced form would need index N+1
         in_band = (3 ** (top + 1) + 1) // 2 <= v <= (5 * 3**top - 1) // 2
-        assert lead == (2 if in_band else 0)
+        assert (row[top] == 2) if in_band else (abs(row[top]) < 2)
         assert in_band == (len(balanced_digits(v)) == top + 2)
 
 
@@ -119,8 +131,9 @@ def test_digit_expansion_errors():
             f(2, (1,))
         with pytest.raises(ValueError):
             f(1, (1, 2))
-    # signs are read off separately, so a negative vector expands by magnitude
-    assert _expansion((-3, 5)) == _expansion((3, 5))
+    # a negative coordinate's row is its magnitude's, negated
+    top, (row3, row5) = _rows((3, 5))
+    assert _rows((-3, 5)) == (top, (tuple(-d for d in row3), row5))
 
 
 @given(_VECTORS)
@@ -129,16 +142,33 @@ def test_digit_expansion_errors():
 @example([7, 8])
 @example([13, 0, 14])
 def test_digit_expansion_shape(vec):
-    top, coords = _expansion(vec)
-    assert len(coords) == len(vec)
+    top, rows = _rows(vec)
+    assert len(rows) == len(vec)
     # some row reaches the top index
-    assert any(lead or len(digits) == top + 1 for lead, digits in coords)
-    for (lead, digits), v in zip(coords, vec):
+    assert any(row[top] for row in rows)
+    for row, v in zip(rows, vec):
         # a 2 only ever leads a row, at the top index
-        assert all(d in (-1, 0, 1) for d in digits)
-        assert len(digits) <= (top if lead else top + 1)
+        assert all(d in (-1, 0, 1) for d in row[:top])
+        assert row[top] in (-1, 0, 1, 2)
         # each row rebuilds its coordinate
-        assert lead * 3**top + sum(d * 3**k for k, d in enumerate(digits)) == v
+        assert sum(d * 3**k for k, d in enumerate(row)) == v
+
+
+def _swap_case(word: Word) -> tuple[str, ...]:
+    """The word's tokens with a<i> and A<i> swapped, t and T kept."""
+    return tuple(tok if tok in ("t", "T") else tok.swapcase() for tok in word.tokens)
+
+
+@given(st.lists(st.integers(-(3**20), 3**20), min_size=1, max_size=4).filter(any))
+@example([-5])
+@example([-1, 0])
+@example([-3, 5])
+@example([16, -2, 0])
+@example([-13, -14, 7])
+def test_spell_of_the_negated_vector_swaps_the_case(vec):
+    m = len(vec)
+    negated = tuple(-v for v in vec)
+    assert spell(m, negated).tokens == _swap_case(spell(m, tuple(vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +357,11 @@ def test_package_words_pass_the_token_check(m):
 # ---------------------------------------------------------------------------
 # the table-driven kernels against their digit-at-a-time references
 #
-# The first versions of balanced_digits, _expansion and _digits_to_word,
-# kept as certificates for the chunk table and the level-at-a-time emitter:
-# one digit per step of the balanced ternary recurrence, and one coordinate
-# per step of each level.
+# The first versions of balanced_digits, of the magnitude expansion that
+# spell once read, and of _digits_to_word, kept as certificates for the
+# chunk table, the signed digits and the level-at-a-time emitter: one digit
+# per step of the balanced ternary recurrence, and one coordinate per step
+# of each level.
 
 
 def reference_balanced_digits(e: int) -> tuple[int, ...]:
@@ -384,9 +415,7 @@ def reference_spell(vec, top, coords) -> Word:
 
 def assert_kernels_match_the_references(vec):
     m = len(vec)
-    top, coords = reference_expansion(vec)
-    assert _expansion(vec) == (top, coords)
-    word = reference_spell(vec, top, coords)
+    word = reference_spell(vec, *reference_expansion(vec))
     assert spell(m, vec) == word
     assert word_length(m, vec) == word.length
 

@@ -30,12 +30,13 @@ from horogrowth.group import (
     element_to_json,
     eval_word,
     format_word,
-    inverse,
     is_horocyclic,
     max_height,
     multiply,
     parse_word,
 )
+
+from certificates import inverse
 
 # ---------------------------------------------------------------------------
 # triadic rationals

@@ -24,7 +24,6 @@ from horogrowth.growth import (
     STEM_DEPTH_CAP,
     CosetCensus,
     cap_poly,
-    cap_poly_recursive,
     coset_census,
     full_series,
     level_series,
@@ -44,7 +43,6 @@ from horogrowth.series import (
     exact_div,
     poly,
     poly_gcd,
-    rf_add,
     rf_div,
     rf_mul,
     rf_normalize,
@@ -53,6 +51,7 @@ from horogrowth.series import (
     series_prefix,
 )
 
+from certificates import cap_poly_recursive, rf_add
 from word_families import cap_words, suffix_words
 
 

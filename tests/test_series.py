@@ -21,7 +21,6 @@ from horogrowth.series import (
     poly_gcd,
     poly_latex,
     poly_str,
-    rf_add,
     rf_div,
     rf_latex,
     rf_mul,
@@ -31,6 +30,8 @@ from horogrowth.series import (
     rf_to_json,
     series_prefix,
 )
+
+from certificates import rf_add
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -70,6 +71,26 @@ def test_poly_arithmetic_hand_values():
     assert -a == poly(-1, -2)
     assert 2 * a == poly(2, 4)
     assert a.shift(2) == poly(0, 0, 1, 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16, 24, 31])
+def test_power_squares_once_per_bit_below_the_top(monkeypatch, n):
+    a = poly(1, 2, -1)
+    want = ONE
+    for _ in range(n):
+        want = want * a
+    products = []
+    mul = IntPolynomial.__mul__
+
+    def counted(self, other):
+        products.append(self is other)
+        return mul(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counted)
+    assert a**n == want
+    # one product per set bit, and a square per bit below the top one
+    assert products.count(True) == max(n.bit_length() - 1, 0)
+    assert products.count(False) == bin(n).count("1")
 
 
 def test_content_and_primitive():
