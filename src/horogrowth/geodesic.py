@@ -22,20 +22,22 @@ to its tokens and a T through one bounded cache.
 
 The level language for descent depth n enumerates the canonical words
 for all vectors in the box shell [0, (3^(n+2)-1)/2]^m minus
-[0, (3^(n+1)+1)/2)^m: an ordered set partition of the coordinates fixes
-which block leads at which level, a composition of n places the descents,
-and each descended level carries a free sign vector on the coordinates
-already started.  It is emitted a level at a time from the fragments
-spell reads: each level's digit vectors become fragments once, and the
-words are products of one fragment per level.  Both pack their words as
-(m, tokens) directly, since every token comes from the fragments, without
-the check that Word(m, tokens) makes.  A level of more than LEVEL_WORD_CAP
-words is refused with BudgetError.
+[0, (3^(n+1)+1)/2)^m.  It is one walk over the levels whose state is the
+set of coordinates already started.  At level n a lead block takes its
+cap and a second block may enter beside it; at each level below, the
+started coordinates take free signs and at most one new block enters
+with a 1, and level 0 starts every coordinate still unstarted.  The
+digit vectors of each level become the fragments spell reads, once per
+state, and every word is one fragment per level.  spell and
+enumerate_level pack their words as (m, tokens) directly, since every
+token comes from the fragments, without the check that Word(m, tokens)
+makes.  A level of more than LEVEL_WORD_CAP words is refused with
+BudgetError.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, combinations, product, repeat
 
 from .errors import BudgetError
 from .group import Word, _pack, eval_word, is_horocyclic, max_height
@@ -142,105 +144,77 @@ def level_box(n: int) -> tuple[int, int]:
     return (3 ** (n + 1) + 1) // 2, (3 ** (n + 2) - 1) // 2
 
 
-def _ordered_partitions(items: tuple[int, ...]):
-    if not items:
-        yield ()
-        return
-    k = len(items)
-    for mask in range(1, 1 << k):
-        first = tuple(items[i] for i in range(k) if mask >> i & 1)
-        rest = tuple(items[i] for i in range(k) if not mask >> i & 1)
-        for tail in _ordered_partitions(rest):
-            yield (first, *tail)
-
-
-def _compositions(n: int, q: int):
-    """Compositions (j_1..j_q) of n with interior parts >= 1, ends >= 0."""
-    if q == 1:
-        yield (n,)
-        return
-
-    def rec(remaining, parts_left, acc):
-        if parts_left == 1:
-            yield (*acc, remaining)
-            return
-        # first part free, interior parts >= 1, last part free
-        lo = 0 if not acc else 1
-        for j in range(lo, remaining + 1):
-            yield from rec(remaining - j, parts_left - 1, (*acc, j))
-
-    yield from rec(n, q, ())
-
-
 def enumerate_level(m: int, n: int) -> list[Word]:
-    """All canonical level-n words, emitted a level at a time.
+    """All canonical level-n words, from one walk over the levels whose
+    state is the tuple of coordinates already started.
 
-    For each ordered partition of the coordinates into blocks and each
-    composition of n placing the descents, every level below n gets its
-    digit vectors once: the entry digits of the blocks, and the 3^k sign
-    vectors of the k coordinates started above it.  Each vector becomes
-    the fragment spell reads, each cap (U^2 at level n, or U at level n + 1
-    over a sign word) a head, and every word is a head followed by one
-    fragment per level, the lowest level varying fastest, less the last T.
-    Raises BudgetError, before any word is built, when the level holds
-    more than LEVEL_WORD_CAP words."""
+    The walk is the construction by ordered block partitions and
+    compositions of n.  A block is the set of coordinates that enter at
+    one level, with a 1.  Interior composition parts of at least 1 let at
+    most one block enter per level below n, where every started coordinate
+    takes a sign in {0, 1, -1}.  A first part of 0 is a second block that
+    enters at level n beside the lead, whose cap is U^2, or U at level
+    n + 1 over a sign word that is not all -1.  A free last part is a
+    block that enters at level 0, which starts every coordinate still
+    unstarted.  tails[started] holds the words of the levels below, built
+    bottom-up, one fragment per level; a word is a head times a tail, less
+    the last T.  Raises BudgetError, before any word is built, when the
+    level holds more than LEVEL_WORD_CAP words."""
     if m < 1:
         raise ValueError("rank m must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lower, upper = level_box(n)
-    count = upper**m - (lower - 1) ** m  # the vectors of the level shell
-    if count > LEVEL_WORD_CAP:
+    # the shell holds at least 3^(n+1) vectors and at least 4^m - 1, so
+    # n >= 11 or m >= 10 is over the cap before it is counted
+    held = f"more than {LEVEL_WORD_CAP}"
+    if n < 11 and m < 10:
+        lower, upper = level_box(n)
+        held = upper**m - (lower - 1) ** m  # the vectors of the level shell
+    if isinstance(held, str) or held > LEVEL_WORD_CAP:
         raise BudgetError(
-            f"level {n} at rank {m} holds {count} words, over the cap of {LEVEL_WORD_CAP}"
+            f"level {n} at rank {m} holds {held} words, over the cap of {LEVEL_WORD_CAP}"
         )
-    out: list[Word] = []
-    for blocks in _ordered_partitions(tuple(range(m))):
-        lead = blocks[0]
-        for comp in _compositions(n, len(blocks)):
-            # fixed[level]: the digits of levels 0..n that no sign sets;
-            # each later block enters with a 1 where the descents before it
-            # end, and free[level] holds the coordinates started above it
-            fixed = [[0] * m for _ in range(n + 1)]
-            free: list[tuple[int, ...]] = [()] * n
-            enter, started = n, ()
-            for block, j in zip(blocks, comp):
-                started += block
-                if block is not lead:
-                    for i in block:
-                        fixed[enter][i] = 1
-                free[enter - j : enter] = [started] * j
-                enter -= j
-            # the words below level n, as fragment products
-            tails = [()]
-            for level in range(n - 1, -1, -1):
-                row, alpha = fixed[level], free[level]
-                frags = []
-                for signs in product((0, 1, -1), repeat=len(alpha)):
-                    for i, d in zip(alpha, signs):
+    full = tuple(range(m))
+    moves = {}  # per state, each block that may enter beside it, and the state after
+    for started in _flat(combinations(full, k) for k in range(1, m + 1)):
+        rest = [i for i in full if i not in started]
+        blocks = _flat(combinations(rest, k) for k in range(len(rest) + 1))
+        moves[started] = [(b, tuple(sorted(started + b))) for b in blocks]
+    tails = {full: [()]}  # below level 0 every coordinate has started
+    for level in range(n):
+        below, tails = tails, {}
+        stop = None if level else -1  # the T after level 0 ends no word
+        for started, entries in moves.items():
+            tails[started] = out = []
+            for block, after in entries:
+                if after not in below:  # at level 0, block is every unstarted one
+                    continue
+                row = [int(i in block) for i in full]
+                for signs in product((0, 1, -1), repeat=len(started)):
+                    for i, d in zip(started, signs):
                         row[i] = d
-                    frags.append(_fragment(tuple(row)))
-                tails = [t + f for t in tails for f in frags]
-            # the caps: U^2 at level n, or U at level n + 1 over a sign word
-            row = fixed[n]
-            for i in lead:
-                row[i] = 2
-            heads = [("t",) * n + _fragment(tuple(row))]
-            high = ("t",) * (n + 1) + _fragment(tuple(int(i in lead) for i in range(m)))
-            all_minus = (-1,) * len(lead)
+                    frag = _fragment(tuple(row))[:stop]
+                    out += [frag + t for t in below[after]]
+    # the caps: U^2 at level n, or U at level n + 1 over a sign word
+    words: list[Word] = []
+    stop = None if n else -1
+    for lead, entries in moves.items():
+        high = ("t",) * (n + 1) + _fragment(tuple(int(i in lead) for i in full))
+        all_minus = (-1,) * len(lead)
+        for block, after in entries:
+            if after not in tails:  # at n = 0, as at level 0 below
+                continue
+            row = [2 if i in lead else int(i in block) for i in full]
+            heads = [("t",) * n + _fragment(tuple(row))[:stop]]
             for signs in product((0, 1, -1), repeat=len(lead)):
                 if signs == all_minus:
                     continue
                 for i, d in zip(lead, signs):
                     row[i] = d
-                heads.append(high + _fragment(tuple(row)))
-            if n:  # drop the T after level 0, which ends every tail
-                tails = [t[:-1] for t in tails]
-            else:  # or, at n = 0, every head
-                heads = [h[:-1] for h in heads]
+                heads.append(high + _fragment(tuple(row))[:stop])
             for head in heads:
-                out += [_pack(Word, (m, head + t)) for t in tails]
-    return out
+                words += [_pack(Word, (m, head + t)) for t in tails[after]]
+    return words
 
 
 def check_level_ranges(m: int, n: int) -> dict:

@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 from horogrowth.errors import BudgetError
 from horogrowth.geodesic import (
     LEVEL_WORD_CAP,
-    _compositions,
-    _ordered_partitions,
     balanced_digits,
     check_level_ranges,
     enumerate_level,
@@ -31,6 +29,8 @@ from horogrowth.geodesic import (
     word_length,
 )
 from horogrowth.group import GroupElement, Word, eval_word, max_height, parse_word
+from horogrowth.growth import positive_series
+from horogrowth.series import series_prefix
 
 from word_families import cap_words, suffix_words
 
@@ -295,6 +295,7 @@ def test_enumerated_words_match_spell():
     # the combinatorial level language and the arithmetic digit rule agree
     # on every vector of each shell
     shells = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]
+    shells += [(4, 0), (5, 0), (6, 0)]
     for m, n in shells:
         for w in enumerate_level(m, n):
             v = tuple(c.num for c in eval_word(w).coords)
@@ -439,10 +440,40 @@ def test_kernels_match_the_references_on_large_vectors(vec):
     assert_kernels_match_the_references(tuple(vec))
 
 
+def _ordered_partitions(items: tuple[int, ...]):
+    if not items:
+        yield ()
+        return
+    k = len(items)
+    for mask in range(1, 1 << k):
+        first = tuple(items[i] for i in range(k) if mask >> i & 1)
+        rest = tuple(items[i] for i in range(k) if not mask >> i & 1)
+        for tail in _ordered_partitions(rest):
+            yield (first, *tail)
+
+
+def _compositions(n: int, q: int):
+    """Compositions (j_1..j_q) of n with interior parts >= 1, ends >= 0."""
+    if q == 1:
+        yield (n,)
+        return
+
+    def rec(remaining, parts_left, acc):
+        if parts_left == 1:
+            yield (*acc, remaining)
+            return
+        # first part free, interior parts >= 1, last part free
+        lo = 0 if not acc else 1
+        for j in range(lo, remaining + 1):
+            yield from rec(remaining - j, parts_left - 1, (*acc, j))
+
+    yield from rec(n, q, ())
+
+
 def reference_enumerate_level(m: int, n: int) -> list[Word]:
-    """The level-n words from one digit matrix per word, in the order
-    enumerate_level gives them: ordered block partition, composition, cap,
-    then the sign slots, the lowest level varying fastest."""
+    """The level-n words from one digit matrix per word: for each ordered
+    partition of the coordinates into blocks and each composition of n
+    placing the descents, the cap, then the sign slots."""
     out = []
     for blocks in _ordered_partitions(tuple(range(m))):
         q = len(blocks)
@@ -501,7 +532,7 @@ def shell_size(m: int, n: int) -> int:
 def test_level_words_match_the_reference_emitter(m, n):
     # (3, 3) holds 1,707,561 words, over LEVEL_WORD_CAP
     words = enumerate_level(m, n)
-    assert words == reference_enumerate_level(m, n)
+    assert sorted(words) == sorted(reference_enumerate_level(m, n))
     assert len(words) == shell_size(m, n)
 
 
@@ -527,6 +558,29 @@ def test_large_levels_are_refused_before_any_word():
         with pytest.raises(BudgetError, match="level 3 at rank 4 holds 211798881 words"):
             run(4, 3)
         assert time.perf_counter() - start < 0.1
+    # shells whose exact size has thousands of digits are refused from the
+    # lower bounds 3^(n+1) and 4^m - 1, without counting them
+    for m, n in [(1, 10**5), (1, 10**6), (50, 10**4), (10**4, 50), (2000, 0), (1, 11), (10, 0)]:
+        for run in (enumerate_level, check_level_ranges):
+            start = time.perf_counter()
+            with pytest.raises(BudgetError, match=f"^level {n} at rank {m} holds ") as info:
+                run(m, n)
+            assert time.perf_counter() - start < 0.1
+            assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("m,order", [(1, 12), (2, 9), (3, 7), (4, 6), (5, 5)])
+def test_level_languages_count_the_positive_orthant(m, order):
+    # the levels tile the positive orthant less its corner (1, .., 1), of
+    # length m, and a level-n word is at least 2n + m long, so the levels
+    # with 2n + m <= order give P_m through x^order
+    counts = [0] * (order + 1)
+    counts[m] += 1
+    for n in range((order - m) // 2 + 1):
+        for w in enumerate_level(m, n):
+            if w.length <= order:
+                counts[w.length] += 1
+    assert counts == list(series_prefix(positive_series(m), order))
 
 
 _MEASURE_LEVEL = """
