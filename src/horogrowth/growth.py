@@ -28,7 +28,7 @@ from .series import (
 # public census horizon cap; deeper tables serve only the level-series check
 CENSUS_RMAX = 24
 # largest rank with closed forms: on a 2-vCPU host a cold positive_series(30),
-# the slowest, takes about 0.3 s and a cold full_series(30) about 0.01 s
+# the slowest, takes about 0.1-0.2 s and a cold full_series(30) about 2 ms
 RANK_CAP = 30
 # largest stem depth of relative_growth_series: at rank 30, depth 24 takes
 # about 0.3 s and depth 32 about 3 s

@@ -6,7 +6,9 @@ function is a pair num/den of such polynomials kept in canonical form:
 num and den are coprime, their joint integer content is 1, and the
 lowest-order nonzero coefficient of den is positive.  Canonical form makes
 equality plain structural equality, so every public constructor goes
-through ``rf_normalize``.
+through ``rf_normalize``.  Its gcds come from the heuristic GCDHEU: one
+integer gcd of the two polynomials' values at a power of two, read back
+as digits, and accepted only if it divides both (else the exponent doubles).
 
 Series prefixes are computed from the denominator's linear recurrence in
 int arithmetic.  When the denominator's constant term d0 is not 1, each
@@ -155,46 +157,72 @@ def exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(q)
 
 
-def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db:
-        lead = r.pop()
-        if lead % lb:
-            # scale only when lb does not divide lead: every scaling adds the
-            # bits of lb to every coefficient
-            r = [c * lb for c in r]
-        else:
-            lead //= lb
-        off = len(r) - db
-        for j in range(db):
-            r[off + j] -= lead * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(r)
+def _at_power_of_two(cs: tuple[int, ...], k: int) -> int:
+    # Horner's rule at x = 2^k, one shift per coefficient
+    v = 0
+    for c in reversed(cs):
+        v = (v << k) + c
+    return v
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Gcd in Z[x] via the primitive polynomial remainder sequence.
+    """Gcd in Z[x] by the heuristic GCDHEU (Char, Geddes and Gonnet, 1989),
+    whose candidate is checked by trial division.
 
     The result's leading coefficient is positive and its content is the
     gcd of the inputs' contents.
-    """
+
+    Let A and B be the primitive parts, |P| the largest absolute value of
+    P's coefficients, and xi = 2^k > 2 min(|A|, |B|) + 2; say |B| is the
+    smaller.  h = gcd(A(xi), B(xi)) is read back as balanced base-xi
+    digits in (-xi/2, xi/2], the coefficients of an H with H(xi) = h.  As
+    h > 0, H's top digit is positive, and so is the lead of the candidate
+    G, H's primitive part.
+
+    Acceptance: a G that divides A and B is their gcd g.  By Cauchy's
+    bound every root z of B has |z| < 1 + |B| <= xi/2, so B(xi) != 0 and
+    h != 0.  G divides g, so g = G c with c primitive, by Gauss's lemma.
+    g divides A and B, so g(xi) divides h = cont(H) G(xi), and c(xi)
+    divides cont(H), which is nonzero and, like every digit of H, at most
+    xi/2 in absolute value.  But the roots of c are roots of B, so if c
+    had degree d >= 1, |c(xi)| > (xi - xi/2)^d >= xi/2.  Hence c is a
+    primitive constant, and as G and g both lead positive, c = 1.  A
+    candidate of degree 0 is 1, which divides everything.
+
+    Termination: h = |g(xi)| delta, delta = gcd((A/g)(xi), (B/g)(xi)).
+    The cofactors are coprime, so delta divides their resultant R != 0.
+    Each retry doubles k, and once xi > 2 |R| |g| the coefficients of
+    delta g are themselves balanced digits, so H = +-delta g and G = g."""
     a, b = _as_poly(a), _as_poly(b)
-    if not a and not b:
-        raise ValueError("gcd of two zero polynomials")
+    if not a or not b:
+        g = a or b
+        if not g:
+            raise ValueError("gcd of two zero polynomials")
+        return g if g.coeffs[-1] > 0 else -g
     cont = math.gcd(a.content(), b.content())
-    pa, pb = a.primitive().coeffs, b.primitive().coeffs
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _pseudo_rem(pa, pb)
-        pa, pb = pb, IntPolynomial(r).primitive().coeffs
-    g = IntPolynomial(pa)
-    if g.coeffs[-1] < 0:
-        g = -g
-    return cont * g
+    pa, pb = a.primitive(), b.primitive()
+    norm = min(max(map(abs, pa.coeffs)), max(map(abs, pb.coeffs)))
+    k = (2 * norm + 2).bit_length()
+    while True:
+        h = math.gcd(_at_power_of_two(pa.coeffs, k), _at_power_of_two(pb.coeffs, k))
+        mask, half = (1 << k) - 1, 1 << (k - 1)
+        digits = []
+        while h:
+            d = h & mask
+            if d > half:
+                d -= 1 << k
+            digits.append(d)
+            h = (h - d) >> k
+        g = IntPolynomial(digits).primitive()
+        if g == ONE:
+            return cont * g
+        try:
+            exact_div(pb, g)
+            exact_div(pa, g)
+        except ValueError:
+            k *= 2
+        else:
+            return cont * g
 
 
 @dataclass(frozen=True)

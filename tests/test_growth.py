@@ -15,7 +15,7 @@ from itertools import product
 
 import pytest
 
-from horogrowth import growth, verify
+from horogrowth import growth, series, verify
 from horogrowth.errors import BudgetError
 from horogrowth.geodesic import word_length
 from horogrowth.growth import (
@@ -51,7 +51,7 @@ from horogrowth.series import (
     series_prefix,
 )
 
-from certificates import cap_poly_recursive, rf_add
+from certificates import cap_poly_recursive, prs_gcd, rf_add
 from word_families import cap_words, suffix_words
 
 
@@ -379,6 +379,27 @@ def test_subgroup_series_rejects_bad_rank():
 def test_rank_cap(build):
     with pytest.raises(BudgetError):
         build(RANK_CAP + 1)
+
+
+def test_every_closed_form_gcd_matches_the_remainder_sequence(monkeypatch):
+    # every gcd the closed forms take at ranks 1-30, from cold caches,
+    # against the primitive remainder sequence
+    for f in vars(growth).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    pairs = []
+
+    def spy(a, b):
+        pairs.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(series, "poly_gcd", spy)
+    for m in range(1, RANK_CAP + 1):
+        subgroup_series(m), positive_series(m), full_series(m), level_series(m)
+    monkeypatch.undo()
+    assert len(pairs) == 645
+    for a, b in pairs:
+        assert poly_gcd(a, b) == prs_gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from horogrowth.series import (
     series_prefix,
 )
 
-from certificates import rf_add
+from certificates import prs_gcd, rf_add
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -41,6 +41,17 @@ polys = st.lists(coeffs, max_size=6).map(lambda cs: IntPolynomial(tuple(cs)))
 nonzero_polys = polys.filter(bool)
 # denominators with constant term 1: their reciprocals are integer series
 unit_polys = st.lists(coeffs, max_size=5).map(lambda t: IntPolynomial((1, *t)))
+
+
+def led_polys(width):
+    # a lead of +-2^j, as in D_j = 1 - x^2 (1 + 2x)^j, over coefficients in
+    # [-width, width]
+    return st.builds(
+        lambda cs, j, sign: IntPolynomial((*cs, sign * 2**j)),
+        st.lists(st.integers(min_value=-width, max_value=width), max_size=5),
+        st.integers(min_value=0, max_value=8),
+        st.sampled_from((1, -1)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +130,48 @@ def test_poly_gcd_hand_values():
 
 
 def test_poly_gcd_divisor_led_by_minus_a_power_of_two():
-    # D_2 = 1 - x^2 (1 + 2x)^2 leads with -4, so the remainder sequence
-    # mixes exact and scaled pseudo-division steps
+    # D_2 = 1 - x^2 (1 + 2x)^2 leads with -4, like every D_j the closed
+    # forms reduce against: the gcd leads positive, and the trial division
+    # of a candidate divides by a lead that is not a unit
     d2 = poly(1, 0, -1, -4, -4)
     assert poly_gcd(poly(1, 1) * d2, d2) == -d2
     assert poly_gcd(poly(3, 1, 5) * d2 * d2, poly(1, -3) * d2) == -d2
     assert poly_gcd(poly(1, 1) * d2 * d2, poly(2, 0, 5) * d2) == -d2
     assert poly_gcd(poly(6, 0, 0, 0, 0, 0, 2) * d2, poly(4, 2) * d2) == -2 * d2
     assert poly_gcd(poly(1, 1, 1, 1, 1, 1, 1), d2).degree == 0
+
+
+def test_poly_gcd_zero_constant_and_content():
+    with pytest.raises(ValueError):
+        poly_gcd(ZERO, ZERO)
+    assert poly_gcd(poly(0, -3), ZERO) == poly(0, 3)
+    assert poly_gcd(ZERO, poly(-4, 0, -6)) == poly(4, 0, 6)
+    assert poly_gcd(poly(-6), poly(4, 8)) == poly(2)
+    assert poly_gcd(poly(5), poly(-5)) == poly(5)
+    assert poly_gcd(poly(-1), poly(3, 1, 4)) == ONE
+    # the content is the gcd of the contents, the rest is primitive
+    assert poly_gcd(poly(6, 6), poly(-4, 0, 4)) == poly(2, 2)
+    assert poly_gcd(poly(12, -18), poly(8, 0, -18)) == poly(-4, 6)
+    assert poly_gcd(poly(9, 3), poly(6, 0, 6)) == poly(3)
+
+
+def test_poly_gcd_retries_after_a_false_candidate():
+    # at the first evaluation point each gcd of the values carries a spurious
+    # factor, whose digits give a candidate that fails the trial division
+    assert poly_gcd(poly(4, 6, 0, 4), poly(4, -4)) == poly(2)
+    assert poly_gcd(poly(0, 1, 5, 6), poly(3, 10, 2, -3)) == poly(1, 3)
+    assert poly_gcd(
+        poly(3, -3, -4, 15, -13, 6), poly(9, -6, -3, -1, 5, -6)
+    ) == poly(3, -3, 2)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.just(ZERO), led_polys(6)), led_polys(6), led_polys(1000))
+def test_poly_gcd_matches_the_remainder_sequence(a, b, g):
+    # a wide planted factor g over narrow cofactors: the cofactors' values
+    # at the first point often share a factor as large as the point, so
+    # the retry path runs
+    assert poly_gcd(a * g, b * g) == prs_gcd(a * g, b * g)
 
 
 @given(polys, polys, polys)
