@@ -3,8 +3,8 @@ Counting with label-weighted automata
 =====================================
 
 A small finite-state machine whose edges carry polynomial labels has a
-rational growth series, solved exactly by Gaussian elimination over
-rational functions.  Two machines with different shapes can certify
+rational growth series, read off exactly by eliminating its states one
+at a time.  Two machines with different shapes can certify
 the same series.
 """
 

@@ -39,7 +39,6 @@ from .gfsa import (
     build_quadrant_gfsa,
     count_words_by_length,
     quadrant_expected_growth,
-    solve_linear_system,
 )
 from .group import (
     GroupElement,
@@ -82,12 +81,10 @@ from .series import (
     poly_gcd,
     poly_latex,
     poly_str,
-    rf_div,
     rf_latex,
     rf_mul,
     rf_normalize,
     rf_str,
-    rf_sub,
     rf_to_json,
     series_prefix,
 )
@@ -156,16 +153,13 @@ __all__ = [
     "quadrant_expected_growth",
     "relative_growth",
     "relative_growth_series",
-    "rf_div",
     "rf_latex",
     "rf_mul",
     "rf_normalize",
     "rf_str",
-    "rf_sub",
     "rf_to_json",
     "run_suite",
     "series_prefix",
-    "solve_linear_system",
     "spell",
     "subgroup_series",
     "suffix_poly",

@@ -7,6 +7,10 @@ Subcommands:
   verify  run a verification suite and report pass/fail with witnesses
   census  coset census table with the certified level-series numerators
 
+census reads its table from the closed forms and checks nothing itself:
+certified_to names the horizon through which `verify --suite census`
+checks the level series against the stem table.
+
 Exit codes: 0 success, 2 verification failure, 3 budget or parse error.
 JSON output is canonical: sorted keys, no whitespace, one line.
 """

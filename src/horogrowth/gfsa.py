@@ -8,26 +8,15 @@ finitely many multi-letter blocks per edge, so an infinite block language
 must first be decomposed uniquely into such blocks by the builder.
 
 The growth series of the accepted language solves u = A u + e, where
-A[p][q] sums the labels from p to q and e marks accepting states; the
-system is solved exactly by Gaussian elimination over the rational
-function field.
+A[p][q] sums the labels from p to q and e marks accepting states; it is
+read off exactly by eliminating the states one at a time, which needs no
+pivot choice because every label vanishes at x = 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import (
-    IntPolynomial,
-    RationalFunction,
-    poly,
-    rf_div,
-    rf_mul,
-    rf_normalize,
-    rf_sub,
-)
-
-_RF_ZERO = rf_normalize(0, 1)
-_RF_ONE = rf_normalize(1, 1)
+from .series import IntPolynomial, RationalFunction, poly, rf_normalize
 
 
 @dataclass(frozen=True)
@@ -65,49 +54,59 @@ class GrowthAutomaton:
                 raise ValueError("edge label coefficients must be nonnegative")
 
 
-def solve_linear_system(
-    matrix: list[list[RationalFunction]], rhs: list[RationalFunction]
-) -> list[RationalFunction]:
-    """Solve matrix * u = rhs exactly over the rational function field.
-
-    Pivots are chosen to keep entries small: lowest denominator degree,
-    then lowest numerator degree.  Raises ValueError on a singular matrix.
-    """
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        candidates = [r for r in range(col, n) if aug[r][col].num]
-        if not candidates:
-            raise ValueError("singular matrix")
-        r = min(
-            candidates,
-            key=lambda i: (aug[i][col].den.degree, aug[i][col].num.degree, i),
-        )
-        aug[col], aug[r] = aug[r], aug[col]
-        piv = aug[col][col]
-        for j in range(col, n + 1):
-            aug[col][j] = rf_div(aug[col][j], piv)
-        for i in range(n):
-            if i != col and aug[i][col].num:
-                factor = aug[i][col]
-                for j in range(col, n + 1):
-                    aug[i][j] = rf_sub(aug[i][j], rf_mul(factor, aug[col][j]))
-    return [aug[i][n] for i in range(n)]
+def _over_one_minus(a: RationalFunction, loop: RationalFunction | None) -> RationalFunction:
+    # a/(1 - loop), the paths that go round the loop any number of times first
+    if loop is None:
+        return a
+    return rf_normalize(a.num * loop.den, a.den * (loop.den - loop.num))
 
 
 def automaton_growth(machine: GrowthAutomaton) -> RationalFunction:
-    """Exact growth series of the language accepted by the machine."""
+    """Exact growth series of the language accepted by the machine, by
+    state elimination (Brzozowski and McCluskey, 1963).
+
+    Each state keeps its row of outgoing labels, plus an entry 1 into a
+    fresh accept node on each accepting state.  Every state q but the
+    start is eliminated in index order: with l its self-loop, each edge a
+    from p into q becomes a/(1 - l), and then a*b is added to the edge
+    p -> r for every edge b from q to r.  This is u_q = (sum_r A[q][r] u_r)/(1 - l)
+    substituted into the other rows, so the start's row ends as
+    u = f + s u, with f its entry into the accept node and s its
+    self-loop, and the growth is f/(1 - s).
+
+    No step divides by zero, so there is no pivot to choose.  Every label
+    has zero constant term, and an update only multiplies entries, so
+    every entry into a state keeps a zero constant term (the entries 1
+    lead to the accept node, which is never eliminated).  Each 1 - l is
+    therefore 1 at x = 0, and invertible.
+    """
     n = machine.n_states
-    a = [[_RF_ZERO] * n for _ in range(n)]
+    accept = n
+    out = [{} for _ in range(n)]
     for src, dst, label in machine.edges:
-        a[src][dst] = rf_normalize(label, 1)
-    matrix = [
-        [rf_sub(_RF_ONE if i == j else _RF_ZERO, a[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-    rhs = [_RF_ONE if p in machine.accepts else _RF_ZERO for p in range(n)]
-    u = solve_linear_system(matrix, rhs)
-    return u[machine.start]
+        out[src][dst] = rf_normalize(label, 1)
+    for p in machine.accepts:
+        out[p][accept] = rf_normalize(1, 1)
+    for q in range(n):
+        if q == machine.start:
+            continue
+        row, out[q] = out[q], {}
+        loop = row.pop(q, None)
+        for p_row in out:
+            a = p_row.pop(q, None)
+            if a is None:
+                continue
+            a = _over_one_minus(a, loop)
+            for r, b in row.items():
+                num, den = a.num * b.num, a.den * b.den
+                c = p_row.get(r)
+                if c is not None:
+                    num, den = num * c.den + c.num * den, den * c.den
+                p_row[r] = rf_normalize(num, den)
+    row = out[machine.start]
+    if accept not in row:
+        return rf_normalize(0, 1)
+    return _over_one_minus(row[accept], row.get(machine.start))
 
 
 def count_words_by_length(machine: GrowthAutomaton, nmax: int) -> list[int]:

@@ -275,18 +275,8 @@ def rf_reduce(num, factors) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def rf_sub(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    return rf_normalize(f.num * g.den - g.num * f.den, f.den * g.den)
-
-
 def rf_mul(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     return rf_normalize(f.num * g.num, f.den * g.den)
-
-
-def rf_div(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    if not g.num:
-        raise ZeroDivisionError("division by zero rational function")
-    return rf_normalize(f.num * g.den, f.den * g.num)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,27 @@ it against them.  inverse is the group's inverse rule, cap_poly_recursive
 builds growth.cap_poly by peeling one coordinate at a time, rf_add
 sums two rational functions, as full_series once summed its level terms,
 and prs_gcd takes the gcd by the primitive remainder sequence that
-series.poly_gcd once ran.
+series.poly_gcd once ran.  matrix_growth solves an automaton's linear
+system u = A u + e by Gauss-Jordan elimination over the rational function
+field with solve_linear_system, as gfsa.automaton_growth once did before
+it eliminated states, and positive_orthant_machine builds the growth
+automaton of the lattice vectors with every coordinate >= 1.
 """
 from __future__ import annotations
 
 import math
 
+from horogrowth.gfsa import GrowthAutomaton
 from horogrowth.group import GroupElement, _canonical
-from horogrowth.growth import _check_rank
-from horogrowth.series import IntPolynomial, RationalFunction, X, poly, rf_normalize
+from horogrowth.growth import _check_rank, cap_poly, suffix_poly
+from horogrowth.series import (
+    IntPolynomial,
+    RationalFunction,
+    X,
+    poly,
+    rf_mul,
+    rf_normalize,
+)
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -36,6 +48,96 @@ def cap_poly_recursive(m: int) -> IntPolynomial:
 
 def rf_add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     return rf_normalize(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def rf_sub(f: RationalFunction, g: RationalFunction) -> RationalFunction:
+    return rf_normalize(f.num * g.den - g.num * f.den, f.den * g.den)
+
+
+def rf_div(f: RationalFunction, g: RationalFunction) -> RationalFunction:
+    if not g.num:
+        raise ZeroDivisionError("division by zero rational function")
+    return rf_normalize(f.num * g.den, f.den * g.num)
+
+
+def solve_linear_system(
+    matrix: list[list[RationalFunction]], rhs: list[RationalFunction]
+) -> list[RationalFunction]:
+    """Solve matrix * u = rhs exactly over the rational function field.
+
+    Pivots are chosen to keep entries small: lowest denominator degree,
+    then lowest numerator degree.  Raises ValueError on a singular matrix.
+    """
+    n = len(matrix)
+    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        candidates = [r for r in range(col, n) if aug[r][col].num]
+        if not candidates:
+            raise ValueError("singular matrix")
+        r = min(
+            candidates,
+            key=lambda i: (aug[i][col].den.degree, aug[i][col].num.degree, i),
+        )
+        aug[col], aug[r] = aug[r], aug[col]
+        piv = aug[col][col]
+        for j in range(col, n + 1):
+            aug[col][j] = rf_div(aug[col][j], piv)
+        for i in range(n):
+            if i != col and aug[i][col].num:
+                factor = aug[i][col]
+                for j in range(col, n + 1):
+                    aug[i][j] = rf_sub(aug[i][j], rf_mul(factor, aug[col][j]))
+    return [aug[i][n] for i in range(n)]
+
+
+def matrix_growth(machine: GrowthAutomaton) -> RationalFunction:
+    """The machine's growth series from the whole system (I - A) u = e."""
+    n = machine.n_states
+    zero, one = rf_normalize(0, 1), rf_normalize(1, 1)
+    a = [[zero] * n for _ in range(n)]
+    for src, dst, label in machine.edges:
+        a[src][dst] = rf_normalize(label, 1)
+    matrix = [
+        [rf_sub(one if i == j else zero, a[i][j]) for j in range(n)]
+        for i in range(n)
+    ]
+    rhs = [one if p in machine.accepts else zero for p in range(n)]
+    return solve_linear_system(matrix, rhs)[machine.start]
+
+
+def positive_orthant_machine(m: int) -> GrowthAutomaton:
+    """Growth automaton of the rank-m lattice vectors with every
+    coordinate >= 1, whose growth is growth.positive_series(m).
+
+    It walks the levels down from the top as geodesic.enumerate_level
+    does, its state the number c of coordinates already started.  States:
+    0 the start, 1 the corner (every coordinate 1, one edge x^m), F_c
+    (c coordinates have started) and E_c (a block has just entered, so
+    that c have now started) for c = 1..m.  The start enters F_a through
+    one of C(m, a) caps on a coordinates; a level below keeps F_c, or
+    leaves E_c, by a descent and a sign word on the c started coordinates,
+    x^2 W_c; and a block of a - c new coordinates enters F_c -> E_a, one
+    letter each.  A word is accepted once every coordinate has started.
+    """
+    _check_rank(m)
+
+    def f(c):
+        return 1 + c
+
+    def e(c):
+        return 1 + m + c
+
+    edges = [(0, 1, X**m)]
+    for a in range(1, m + 1):
+        edges.append((0, f(a), math.comb(m, a) * cap_poly(a)))
+    for c in range(1, m + 1):
+        level = suffix_poly(c).shift(2)
+        edges += [(f(c), f(c), level), (e(c), f(c), level)]
+        edges += [
+            (f(c), e(a), math.comb(m - c, a - c) * X ** (a - c))
+            for a in range(c + 1, m + 1)
+        ]
+    return GrowthAutomaton(2 * m + 2, 0, frozenset({1, f(m), e(m)}), tuple(edges))
 
 
 def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -3,7 +3,10 @@
 The quadrant machines' growth x^2/(1-x)^2 and the single-state loop
 machines' series prefixes were computed by hand (geometric series and the
 recurrence c_k = c_{k-2} + 4c_{k-3} + 4c_{k-4} for m = 2) before the
-module was written.
+module was written.  The engine is certified against the whole linear
+system solved by Gauss-Jordan elimination, against direct path counting,
+and against the closed form of positive_series on the paper's machine for
+the positive orthant.
 """
 from __future__ import annotations
 
@@ -19,9 +22,16 @@ from horogrowth.gfsa import (
     build_quadrant_gfsa,
     count_words_by_length,
     quadrant_expected_growth,
+)
+from horogrowth.growth import positive_series
+from horogrowth.series import poly, rf_normalize, series_prefix
+
+from certificates import (
+    matrix_growth,
+    positive_orthant_machine,
+    rf_sub,
     solve_linear_system,
 )
-from horogrowth.series import poly, rf_div, rf_mul, rf_normalize, rf_sub, series_prefix
 
 
 def test_quadrant_expected_growth_value():
@@ -119,7 +129,8 @@ def test_solver_rejects_singular_matrix():
 
 
 # ---------------------------------------------------------------------------
-# property: solved growth matches direct path counting
+# property: eliminated growth matches the whole linear system and direct
+# path counting, from any start state and any set of accept states
 
 labels = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3).map(
     lambda cs: poly(0, *cs)
@@ -128,20 +139,35 @@ labels = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3)
 
 @st.composite
 def automata(draw):
-    n = draw(st.integers(min_value=1, max_value=3))
-    edges = []
-    for src in range(n):
-        for dst in range(n):
-            if draw(st.booleans()):
-                edges.append((src, dst, draw(labels)))
-    accepts = frozenset(
-        i for i in range(n) if draw(st.booleans())
-    ) or frozenset({n - 1})
-    return GrowthAutomaton(n, 0, accepts, tuple(edges))
+    n = draw(st.integers(min_value=1, max_value=5))
+    edges = [
+        (src, dst, draw(labels))
+        for src in range(n)
+        for dst in range(n)
+        if draw(st.booleans())
+    ]
+    start = draw(st.integers(min_value=0, max_value=n - 1))
+    accepts = frozenset(i for i in range(n) if draw(st.booleans()))
+    return GrowthAutomaton(n, start, accepts, tuple(edges))
 
 
 @given(automata())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_growth_matches_path_counting(m):
     g = automaton_growth(m)
+    assert g == matrix_growth(m)
     assert list(series_prefix(g, 8)) == count_words_by_length(m, 8)
+
+
+def test_growth_is_zero_when_no_accept_state_is_reached():
+    x = poly(0, 1)
+    m = GrowthAutomaton(3, 1, frozenset({0}), ((0, 0, x), (1, 1, x), (1, 2, x)))
+    assert automaton_growth(m) == rf_normalize(0, 1)
+    assert count_words_by_length(m, 5) == [0] * 6
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_positive_orthant_machine_growth(m):
+    machine = positive_orthant_machine(m)
+    assert machine.n_states == 2 * m + 2
+    assert automaton_growth(machine) == positive_series(m)

@@ -43,15 +43,13 @@ from horogrowth.series import (
     exact_div,
     poly,
     poly_gcd,
-    rf_div,
     rf_mul,
     rf_normalize,
-    rf_sub,
     rf_to_json,
     series_prefix,
 )
 
-from certificates import cap_poly_recursive, prs_gcd, rf_add
+from certificates import cap_poly_recursive, prs_gcd, rf_add, rf_div, rf_sub
 from word_families import cap_words, suffix_words
 
 

@@ -21,17 +21,15 @@ from horogrowth.series import (
     poly_gcd,
     poly_latex,
     poly_str,
-    rf_div,
     rf_latex,
     rf_mul,
     rf_normalize,
     rf_str,
-    rf_sub,
     rf_to_json,
     series_prefix,
 )
 
-from certificates import prs_gcd, rf_add
+from certificates import prs_gcd, rf_add, rf_div, rf_sub
 
 # ---------------------------------------------------------------------------
 # strategies
