@@ -61,7 +61,9 @@ _DEFAULT_BUDGET_MB = 512
 _STATE_BYTES = 180
 _STATE_BYTES_PER_COORD = 20
 # bytes per stored orbit: at least 1.1 times the tracemalloc peak per orbit
-# of fresh quotients at ranks 1 to 3 (the worst, 190 B, at rank 1, radius 12)
+# of fresh quotients at ranks 1 to 3 grown to their radius caps (Python 3.11:
+# 165 B at rank 1, radius 12; 148 B at rank 2, radius 9; the worst, 166 B, at
+# rank 3, radius 7)
 _ORBIT_BYTES = 200
 _ORBIT_BYTES_PER_COORD = 10
 

@@ -11,7 +11,8 @@ generator step then touches a single integer instead of m fractions, and
 a plain (tee, exp, nums) tuple is equal to, and hashes like, the element.
 
 Words use tokens 't', 'T' (its inverse) and 'a<i>', 'A<i>' for the i-th
-lattice generator and its inverse.  For m <= 3 the letters a, b, c and
+lattice generator and its inverse, with one spelling per token: the index
+i is written without leading zeros.  For m <= 3 the letters a, b, c and
 their upper-case inverses are accepted and emitted as aliases.  A word is
 stored packed as (m, tokens): like an element, it is equal to, and hashes
 like, the plain pair, and its len is 2 (word.length counts the tokens).
@@ -19,13 +20,14 @@ Word(m, tokens) checks every token; the package packs the words it builds
 from its own token tables, and the parser packs words whose lexemes it has
 range-checked.  The parser cuts a text into lexemes, each a token with an
 optional power '^k' (k may carry a sign), skipping the spaces between
-them, and reads each distinct lexeme once; rendering never emits '^'.
-The forms format_word prints are cut by C string methods instead: letters
-alone map through a table per rank, and a, A, t, T and digits are split
-before each letter if every distinct chunk is a token.  Evaluation folds
-the product rule over the tokens in one pass, keeping the coordinates over
-the power of 3 that the lowest letter read so far needs; it reads each
-letter's (index, sign) and 3^k from tables.
+them, and reads each distinct lexeme once, so 'a01' still reads as 'a1';
+rendering never emits '^'.  The forms format_word prints are cut by C
+string methods instead: letters alone map through a table per rank, and
+a, A, t, T and digits are split before each letter and kept as they are
+if every distinct chunk is a token.  Evaluation folds the product rule
+over the tokens in one pass, keeping the coordinates over the power of 3
+that the lowest letter read so far needs; it reads each letter's
+(index, sign) and 3^k from tables.
 """
 from __future__ import annotations
 
@@ -149,8 +151,9 @@ _LETTER_TOKENS = [dict(zip([*_ALIAS_OF.values()][: 2 + 2 * m], _ALIAS_OF)) for m
 # non-space character, with an optional power; findall skips the spaces.
 # Indices and powers are ASCII decimals, as Word's token check requires.
 _LEXEME = re.compile(r"\s*((?:[aA][0-9]+|\S)(?:\^-?[0-9]*)?)")
-# parse_word reads lexemes longer than this (long digit runs) uncached, so
-# that texts from users leave no long strings in the cache
+# _cut leaves chunks longer than this (long digit runs) to the lexeme
+# pattern, so that texts from users leave no long strings in _valid_token's
+# cache
 _CACHED_LEXEME = 24
 
 
@@ -159,10 +162,9 @@ def _valid_token(tok: str, m: int) -> bool:
     if tok in ("t", "T"):
         return True
     digits = tok[1:]
-    if tok[:1] in ("a", "A") and digits.isascii() and digits.isdigit():
+    if tok[:1] in ("a", "A") and digits.isascii() and digits.isdigit() and digits[0] != "0":
         # an index with more digits than m is out of range unconverted
-        digits = digits.lstrip("0")
-        return len(digits) <= len(str(m)) and 1 <= int(digits or "0") <= m
+        return len(digits) <= len(str(m)) and int(digits) <= m
     return False
 
 
@@ -175,7 +177,7 @@ def _letter(tok: str) -> tuple[int, int]:
     """(coordinate index, sign) of a valid lattice token, entered in _LETTERS."""
     if len(_LETTERS) >= 1024:
         _LETTERS.clear()
-    letter = _LETTERS[tok] = int(tok[1:].lstrip("0")) - 1, (1 if tok[0] == "a" else -1)
+    letter = _LETTERS[tok] = int(tok[1:]) - 1, (1 if tok[0] == "a" else -1)
     return letter
 
 
@@ -213,7 +215,6 @@ class Word(tuple):
         return format_word(self)
 
 
-@lru_cache(maxsize=1024)
 def _read_lexeme(lexeme: str, m: int) -> tuple[str, int]:
     """(token, count) of one lexeme, or ValueError naming what is wrong."""
     base, caret, power = lexeme.partition("^")
@@ -253,7 +254,9 @@ def _read_lexeme(lexeme: str, m: int) -> tuple[str, int]:
 def _cut(text: str, m: int) -> tuple[str, ...] | None:
     """The tokens, at most WORD_LENGTH_CAP, of a text in a form format_word
     prints, or None for the lexeme pattern: a chunk like 't12' is no token
-    (_read_lexeme reads it as 't'), and long chunks are read uncached."""
+    (_read_lexeme reads it as 't'), nor is one with a leading zero like
+    'A07' (read as 'A7'), and long chunks are left to the pattern.  The
+    chunks are the tokens, one string object per distinct chunk."""
     table = _LETTER_TOKENS[m if m <= 3 else 0]
     if text.isalpha() and len(text) <= WORD_LENGTH_CAP and table.keys() >= set(text):
         return tuple(map(table.__getitem__, text))
@@ -261,14 +264,13 @@ def _cut(text: str, m: int) -> tuple[str, ...] | None:
         return None
     for letter in "aAtT":
         text = text.replace(letter, " " + letter)
-    reads = dict.fromkeys(chunks := text.split())
-    if len(chunks) > WORD_LENGTH_CAP or max(map(len, reads)) > _CACHED_LEXEME:
+    chunks = text.split()
+    if len(chunks) > WORD_LENGTH_CAP:
         return None
-    if not all(map(_valid_token, reads, repeat(m))):
+    tokens = dict(zip(chunks, chunks))
+    if max(map(len, tokens)) > _CACHED_LEXEME or not all(map(_valid_token, tokens, repeat(m))):
         return None
-    for chunk in reads:
-        reads[chunk] = _read_lexeme(chunk, m)[0]
-    return tuple(map(reads.__getitem__, chunks))
+    return tuple(map(tokens.__getitem__, chunks))
 
 
 def parse_word(text: str, m: int) -> Word:
@@ -289,12 +291,9 @@ def parse_word(text: str, m: int) -> Word:
     # characters is one lexeme
     lexemes = text if text.isalpha() else _LEXEME.findall(text)
     reads = dict.fromkeys(lexemes)
-    read = _read_lexeme
-    if max(map(len, reads), default=0) > _CACHED_LEXEME:
-        read = read.__wrapped__
     try:
         for lexeme in reads:
-            reads[lexeme] = read(lexeme, m)
+            reads[lexeme] = _read_lexeme(lexeme, m)
     except ValueError:
         # the lexemes before the bad one, all read, may overrun the cap first
         if sum(reads[x][1] for x in lexemes[: lexemes.index(lexeme)]) > WORD_LENGTH_CAP:
@@ -318,13 +317,7 @@ def format_word(word: Word) -> str:
     """Render tokens; single letters with case for m <= 3, indexed otherwise."""
     if word.m > 3:
         return "".join(word.tokens)
-    try:
-        return "".join(map(_ALIAS_OF.__getitem__, word.tokens))
-    except KeyError:  # an index written with leading zeros, such as 'a01'
-        return "".join(
-            _ALIAS_OF.get(tok) or _ALIAS_OF[tok[0] + tok[1:].lstrip("0")]
-            for tok in word.tokens
-        )
+    return "".join(map(_ALIAS_OF.__getitem__, word.tokens))
 
 
 def eval_word(word: Word) -> GroupElement:

@@ -53,7 +53,6 @@ def suffix_poly(m: int) -> IntPolynomial:
     return poly(1, 2) ** m
 
 
-@lru_cache(maxsize=None)
 def cap_poly(m: int) -> IntPolynomial:
     """Length polynomial of the 3^m cap words that finish a climb."""
     _check_rank(m)
@@ -197,20 +196,11 @@ def _stem_columns(m: int) -> dict[int, tuple[int, ...]]:
     return {level: tuple(col) for level, col in table.items()}
 
 
-@lru_cache(maxsize=None)
-def _census_columns(m: int) -> dict[int, tuple[int, ...]]:
-    ls = level_series(m)
-    minus1 = series_prefix(ls.X_minus1, CENSUS_RMAX).coeffs
-    table = {0: series_prefix(ls.X_0, CENSUS_RMAX).coeffs}
-    for k in range(1, CENSUS_RMAX + 1):
-        table[-k] = (0,) * (k - 1) + minus1[: CENSUS_RMAX + 2 - k]
-    return table
-
-
 def coset_census(m: int, rmax: int) -> CosetCensus:
-    """Exact counts of cosets of the lattice subgroup by level and distance:
-    the prefixes of X_0 at level 0 and of x^k (1 - x^2)/D_m = x^(k-1) X_-1
-    at level -k (see level_series)."""
+    """Exact counts of cosets of the lattice subgroup by level and distance,
+    read to x^rmax from the level series (see level_series): the prefix of
+    X_0 at level 0, and at level -k that of x^k (1 - x^2)/D_m = x^(k-1) X_-1,
+    k - 1 zeros followed by the prefix of X_-1."""
     _check_rank(m)
     if rmax < 0:
         raise ValueError("census horizon must be nonnegative")
@@ -218,8 +208,12 @@ def coset_census(m: int, rmax: int) -> CosetCensus:
         raise BudgetError(
             f"census horizon {rmax} exceeds the supported cap {CENSUS_RMAX}"
         )
-    table = _census_columns(m)
-    return CosetCensus(m, rmax, {-n: table[-n][: rmax + 1] for n in range(rmax + 1)})
+    ls = level_series(m)
+    minus1 = series_prefix(ls.X_minus1, rmax).coeffs
+    columns = {0: series_prefix(ls.X_0, rmax).coeffs}
+    for k in range(1, rmax + 1):
+        columns[-k] = (0,) * (k - 1) + minus1[: rmax + 2 - k]
+    return CosetCensus(m, rmax, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +277,16 @@ def full_series(m: int) -> RationalFunction:
     """Growth series of the whole group, S X_0 + S X_-1 W/(1 - x W) with S
     the subgroup series and X_0, X_-1 the level series.  Since
     X_0 = q_hat/((1 - x W) D) and X_-1 = p_hat/D, with D = 1 - x^2 W, the
-    sum is S (q_hat + p_hat W) / ((1 - x W) D), reduced against the
-    subgroup denominator, 1 - x W and D one factor at a time.  The census
-    suite checks it against its product form."""
+    sum is S (q_hat + p_hat W) / ((1 - x W) D), and
+    q_hat + p_hat W = (1 - x^2) + (x - x^3) W = (1 - x^2)(1 + x W).  So it is
+    S (1 - x^2)(1 + x W) / ((1 - x W) D), reduced against the subgroup
+    denominator, 1 - x W and D one factor at a time.  The census suite
+    checks it against its product form."""
     _check_rank(m)
     s = subgroup_series(m)
-    ls = level_series(m)
-    w = suffix_poly(m)
+    xw = suffix_poly(m).shift(1)
     return rf_reduce(
-        s.num * (ls.q_hat + ls.p_hat * w),
-        (s.den, ONE - w.shift(1), _block_denominator(m)),
+        s.num * poly(1, 0, -1) * (ONE + xw), (s.den, ONE - xw, _block_denominator(m))
     )
 
 

@@ -16,7 +16,6 @@ Suites:
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from importlib import resources
 
 from .bfs import _orbits, bfs_spheres, coset_distance_census, relative_growth
@@ -101,7 +100,6 @@ def _report(suite: str, checks: list[dict], **extra) -> dict:
 # golden data
 
 
-@lru_cache(maxsize=None)
 def _golden() -> dict:
     path = resources.files("horogrowth.data").joinpath("appendix_golden.json")
     return json.loads(path.read_text())

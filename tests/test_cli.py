@@ -70,6 +70,19 @@ def test_eval_json_fields(capsys):
     assert obj["tau"] == 0
 
 
+def test_eval_reads_a_zero_padded_index_as_its_token(capsys):
+    # Word spells each token one way, but text from the command line may pad
+    # an index with zeros: a01b is the word ab
+    padded, plain = (run_main(capsys, "eval", "--m", "2", "--word", w) for w in ("a01b", "ab"))
+    assert padded == plain == (0, "a b\n", "")
+    padded, plain = (
+        json.loads(run_main(capsys, "eval", "--m", "2", "--word", w, "--output", "json")[1])
+        for w in ("a01b", "ab")
+    )
+    for key in ("element", "display"):
+        assert padded[key] == plain[key]
+
+
 def test_series_rational_golden(capsys):
     rc, out, _ = run_main(capsys, "series", "--kind", "sub", "--m", "2", "--rational")
     assert rc == 0

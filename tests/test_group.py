@@ -609,10 +609,16 @@ def test_eval_word_rescales_when_a_letter_is_read_lower():
     assert element_str(eval_word(w)) == "a^(-215/27) b^(1/9) t^2"
 
 
-def test_tokens_with_leading_zeros_format_like_their_canonical_forms():
-    w = Word(2, ("a01", "A002", "t", "a1"))
-    assert format_word(w) == "aBta"
-    assert eval_word(w) == eval_word(Word(2, ("a1", "A2", "t", "a1")))
+def test_word_spells_each_token_one_way_and_the_parser_reads_zero_padding():
+    # a token's index has no leading zero, so no reader of tokens converts
+    for token in ("a01", "A002", "a0"):
+        with pytest.raises(ValueError) as caught:
+            Word(2, (token,))
+        assert str(caught.value) == f"invalid token {token!r} for m=2"
+    # text is still read with padded indices, to the canonical tokens
+    assert parse_word("a01b", 2) == Word(2, ("a1", "a2"))
+    assert parse_word("A0002", 2) == Word(2, ("A2",))
+    assert parse_word("a" + "0" * 5000 + "2t", 2) == Word(2, ("a2", "t"))
 
 
 def test_word_names_its_first_bad_token_in_word_order():
@@ -635,35 +641,19 @@ def test_word_refuses_indices_that_are_not_short_ascii_decimals(m, token, shown)
     assert str(caught.value) == f"invalid token {shown} for m={m}"
 
 
-def test_long_leading_zeros_read_as_their_index():
-    w = Word(2, ("a" + "0" * 5000 + "2", "t"))
-    assert format_word(w) == "bt"
-    assert eval_word(w) == eval_word(Word(2, ("a2", "t")))
-
-
 def test_word_caches_are_bounded():
-    caches = (group._valid_token, group._read_lexeme, geodesic._fragment)
+    caches = (group._valid_token, geodesic._fragment)
     for cache in caches:
         assert cache.cache_info().maxsize == 1024
-    # short lexemes are read once; one with a long digit run is not cached
-    group._read_lexeme.cache_clear()
-    parse_word("a b a^2 b", 2)
-    assert group._read_lexeme.cache_info().currsize == 3
-    parse_word("a1^" + "0" * 100 + "2", 1)
-    assert group._read_lexeme.cache_info().currsize == 3
-    # a zero-padded token longer than _CACHED_LEXEME is read by no cache,
-    # in either the fast cut or the lexeme pattern
+    # a zero-padded index longer than _CACHED_LEXEME enters no cache, in
+    # either the fast cut or the lexeme pattern
+    group._valid_token.cache_clear()
     padded = "a" + "0" * group._CACHED_LEXEME + "1"
     for text in (padded, f"t{padded}T", f"t {padded}"):
         sizes = [len(group._LETTERS)] + [c.cache_info().currsize for c in caches]
         assert parse_word(text, 1).tokens.count("a1") == 1
         assert [len(group._LETTERS)] + [c.cache_info().currsize for c in caches] == sizes
-    # Word accepts a1 padded with any number of zeros: each is a distinct
-    # letter, and the letter table stays bounded, as it does over 2,000
-    # distinct short letters
-    for k in range(2000):
-        assert eval_word(Word(1, ("a" + "0" * k + "1",))).nums == (1,)
-    assert len(group._LETTERS) <= 1024
+    # the letter table stays bounded over 2,000 distinct letters
     assert eval_word(Word(2000, tuple(f"a{i}" for i in range(1, 2001)))).nums == (1,) * 2000
     assert len(group._LETTERS) <= 1024
     rng = random.Random(8)
@@ -688,3 +678,13 @@ def test_parse_word_peak_memory_stays_near_the_character_reader(text, reference_
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * reference_peak
+
+
+def test_the_fast_cut_keeps_one_string_per_distinct_token():
+    # the cut returns its chunks as the tokens: one object per distinct
+    # chunk keeps a long word of few tokens to one pointer a token
+    rng = random.Random(4)
+    text = "".join(rng.choice(["t", "T", "a1", "A2", "a3", "A4"]) for _ in range(WORD_LENGTH_CAP))
+    tokens = parse_word(text, 4).tokens
+    assert "".join(tokens) == text
+    assert len(set(map(id, tokens))) == len(set(tokens)) == 6

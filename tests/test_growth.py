@@ -484,8 +484,8 @@ def test_coset_census_digests(m):
 
 def direct_stem_pass(m: int, rmax: int) -> dict[int, tuple[int, ...]]:
     """The stem table at horizon rmax by its own pass, on whole polynomials
-    cut at x^rmax after each step: the reference that slices of a rank's
-    shared table must equal."""
+    cut at x^rmax after each step: the reference that the census, read from
+    the level series at that horizon, must equal."""
     xw = suffix_poly(m).shift(1)
     table = {-n: [0] * n + [1] + [0] * (rmax - n) for n in range(rmax + 1)}
     stems = IntPolynomial()
