@@ -621,6 +621,22 @@ def test_word_spells_each_token_one_way_and_the_parser_reads_zero_padding():
     assert parse_word("a" + "0" * 5000 + "2t", 2) == Word(2, ("a2", "t"))
 
 
+def test_tokens_with_leading_zeros_format_like_their_canonical_forms():
+    # padded indices are text only: the parsed word formats and evaluates
+    # as the word of canonical tokens
+    w = parse_word("a01 A002 t a1", 2)
+    assert w.tokens == ("a1", "A2", "t", "a1")
+    assert format_word(w) == "aBta"
+    assert eval_word(w) == eval_word(Word(2, ("a1", "A2", "t", "a1")))
+
+
+def test_long_leading_zeros_read_as_their_index():
+    w = parse_word("a" + "0" * 5000 + "2t", 2)
+    assert w.tokens == ("a2", "t")
+    assert format_word(w) == "bt"
+    assert eval_word(w) == eval_word(Word(2, ("a2", "t")))
+
+
 def test_word_names_its_first_bad_token_in_word_order():
     with pytest.raises(ValueError, match="invalid token 'a3' for m=2"):
         Word(2, ("t", "a3", "a1", "q", "a3"))
